@@ -13,8 +13,8 @@ from .complexity import (
     bound_gap_ratio,
     default_epsilon,
     regression_nml,
+    score_table,
     select_rank,
-    stochastic_complexity_terms,
 )
 from .datasets import (
     PriceTable,
@@ -28,7 +28,16 @@ from .datasets import (
     standardize_columns,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
-from .linalg import SvdResult, frobenius_sq, jacobi_svd, svd, tail_energy, truncate
+from .linalg import (
+    Spectrum,
+    SvdResult,
+    frobenius_sq,
+    jacobi_svd,
+    singular_spectrum,
+    svd,
+    tail_energy,
+    truncate,
+)
 from .quantization import (
     DiscreteModel,
     QuantizedLoadings,
@@ -57,6 +66,7 @@ __all__ = [
     "RegressionNmlInputs",
     "SandwichCheck",
     "ScreeCurve",
+    "Spectrum",
     "SvdResult",
     "SyntheticSpec",
     "bound_gap_ratio",
@@ -76,10 +86,11 @@ __all__ = [
     "quantized_unitary_log_count_bound",
     "regression_nml",
     "returns_transform",
+    "score_table",
     "scree",
     "select_rank",
+    "singular_spectrum",
     "standardize_columns",
-    "stochastic_complexity_terms",
     "svd",
     "tail_energy",
     "truncate",

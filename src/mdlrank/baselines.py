@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .linalg import SvdResult
+from .linalg import Spectrum, binary_scaled
 
 
 @dataclass(frozen=True)
@@ -19,17 +19,24 @@ class ScreeCurve:
     normalized: bool
 
 
-def scree(s: SvdResult, normalized: bool = False) -> ScreeCurve:
-    """Explained-variance curve: squared singular values, in order."""
-    variances = np.asarray(s.singular_values, dtype=np.float64) ** 2
-    if normalized:
-        total = variances.sum()
-        if total == 0.0:
-            raise DegenerateInputError(
-                "cannot normalize a scree curve with zero total variance"
-            )
-        variances = variances / total
-    return ScreeCurve(variances=variances, normalized=normalized)
+def scree(s: Spectrum, normalized: bool = False) -> ScreeCurve:
+    """Explained-variance curve: squared singular values, in order.
+
+    *s* is a :class:`~mdlrank.linalg.Spectrum` or an SVD result; only its
+    ``singular_values`` are read. The normalized curve is formed from the
+    values scaled by an exact power of two, so it neither overflows nor
+    underflows at extreme data scales.
+    """
+    values = np.asarray(s.singular_values, dtype=np.float64)
+    if not normalized:
+        return ScreeCurve(variances=values**2, normalized=False)
+    variances = binary_scaled(values)[0] ** 2
+    total = variances.sum()
+    if total == 0.0:
+        raise DegenerateInputError(
+            "cannot normalize a scree curve with zero total variance"
+        )
+    return ScreeCurve(variances=variances / total, normalized=True)
 
 
 def kaiser(eigenvalues_of_correlation) -> int:

@@ -28,9 +28,9 @@ from .datasets import (
     standardize_columns,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
-from .linalg import svd
+from .linalg import singular_spectrum
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(Exception):
@@ -87,20 +87,26 @@ def _load_input(args):
     return descriptor, matrix, None
 
 
-def _baselines(matrix, sensitivity):
-    """Kaiser count on correlation eigenvalues plus knee of the scree."""
-    z = standardize_columns(matrix)
+def _baselines(matrix, spectrum, sensitivity):
+    """Kaiser count on correlation eigenvalues plus knee of the scree.
+
+    Kaiser cannot standardize a constant column; it is then reported as
+    null with the reason under ``skipped``, and the run goes on, since the
+    selection does not depend on it.
+    """
+    out = {"kaiser": None, "kneedle": kneedle(scree(spectrum, normalized=True), sensitivity)}
+    try:
+        z = standardize_columns(matrix)
+    except DegenerateInputError as exc:
+        out["skipped"] = {"kaiser": str(exc)}
+        return out
     corr = z.T @ z / (z.shape[0] - 1)
-    eig = np.sort(np.linalg.eigvalsh(corr))[::-1]
-    s = svd(matrix)
-    return {
-        "kaiser": kaiser(eig),
-        "kneedle": kneedle(scree(s, normalized=True), sensitivity),
-    }
+    out["kaiser"] = kaiser(np.linalg.eigvalsh(corr))
+    return out
 
 
-def _selection_block(matrix, epsilon, gram_mode):
-    report = select_rank(matrix, epsilon=epsilon, gram_mode=gram_mode)
+def _selection_block(matrix, spectrum, epsilon, gram_mode):
+    report = select_rank(matrix, epsilon=epsilon, gram_mode=gram_mode, spectrum=spectrum)
     ratios = dict(bound_gap_ratio(report))
     per_k = [
         {
@@ -109,7 +115,6 @@ def _selection_block(matrix, epsilon, gram_mode):
             "gram_term": t.gram_term,
             "ratio_term": t.ratio_term,
             "count_term": t.count_term,
-            "delta_lower": t.delta_lower,
             "delta_upper": t.delta_upper,
             "lower_total": t.lower_total,
             "upper_total": t.upper_total,
@@ -131,7 +136,8 @@ def _run_report(args, descriptor, matrix, generator):
     n, m = matrix.shape
     epsilon = _resolve_epsilon(args.epsilon, m)
     primary_mode = "full_gram" if args.both_gram_modes else args.gram_mode
-    report, block = _selection_block(matrix, epsilon, primary_mode)
+    spectrum = singular_spectrum(matrix)
+    report, block = _selection_block(matrix, spectrum, epsilon, primary_mode)
     out = {
         "schema_version": SCHEMA_VERSION,
         "tool": "mdlrank",
@@ -141,11 +147,11 @@ def _run_report(args, descriptor, matrix, generator):
         "m": m,
         "epsilon": epsilon,
         "generator": generator,
-        "baselines": _baselines(matrix, args.kneedle_sensitivity),
+        "baselines": _baselines(matrix, spectrum, args.kneedle_sensitivity),
     }
     out.update(block)
     if args.both_gram_modes:
-        _, alt = _selection_block(matrix, epsilon, "per_row_sum")
+        _, alt = _selection_block(matrix, spectrum, epsilon, "per_row_sum")
         out["alt"] = alt
     if not args.reproducible:
         out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -172,7 +178,6 @@ PER_K_COLUMNS = [
     "gram_term",
     "ratio_term",
     "count_term",
-    "delta_lower",
     "delta_upper",
     "lower_total",
     "upper_total",
@@ -203,7 +208,7 @@ def cmd_select(args) -> int:
 
 def cmd_scree(args) -> int:
     _, matrix, _ = _load_input(args)
-    curve = scree(svd(matrix), normalized=args.normalized)
+    curve = scree(singular_spectrum(matrix), normalized=args.normalized)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["component", "variance"])

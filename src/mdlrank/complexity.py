@@ -12,6 +12,12 @@ plus a nonnegative slack ``delta_upper = m*k*ln(2/(m*eps))`` coming from the
 step quantization of the loadings; the true score lies between
 ``lower_total`` and ``lower_total + delta_upper``. Natural logarithms
 throughout. Minimizing either total over k = 1..m-1 selects a rank.
+
+The residual energies are tail sums of the squared singular values, so the
+whole table is a function of the singular spectrum (and, for the
+``per_row_sum`` gram mode, of the row energies). Energies are formed in log
+space from exactly rescaled values, so no data scale overflows or
+underflows them.
 """
 
 import math
@@ -20,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .linalg import SvdResult, as_matrix, svd, tail_energy
+from .linalg import Spectrum, as_matrix, binary_scaled, singular_spectrum
 from .quantization import validate_epsilon
 
 # substituted for the residual energy before taking ln, so exactly low-rank
 # inputs still rank instead of producing -inf arithmetic
 TAIL_FLOOR = 1e-300
+LOG_TAIL_FLOOR = math.log(TAIL_FLOOR)
+LN2 = math.log(2.0)
 
 GRAM_MODES = ("full_gram", "per_row_sum")
 
@@ -46,7 +54,6 @@ class ComplexityTerms:
     gram_term: float
     ratio_term: float
     count_term: float
-    delta_lower: float
     delta_upper: float
     floored: bool = False
 
@@ -108,7 +115,12 @@ class RegressionNmlInputs:
 
 
 def regression_nml(inp: RegressionNmlInputs) -> float:
-    """Closed-form regression code length (natural log), four terms."""
+    """Closed-form regression code length (natural log), four terms.
+
+    The scalar reference for :func:`score_table`: the rank-k lower total is
+    this kernel at n_obs=mn, n_params=kn, tau_hat = the residual energy
+    beyond rank k and fit_energy = the gram energy.
+    """
     n_obs, n_params = inp.n_obs, inp.n_params
     return (
         (n_obs - n_params) * math.log(inp.tau_hat)
@@ -118,63 +130,66 @@ def regression_nml(inp: RegressionNmlInputs) -> float:
     )
 
 
-def stochastic_complexity_terms(
-    s: SvdResult,
-    gram_fro_sq: float,
-    n: int,
-    m: int,
-    k: int,
-    epsilon: float,
-) -> ComplexityTerms:
-    """Score terms for one candidate rank k (1 <= k <= m-1).
+def score_table(spectrum: Spectrum, log_gram: float, epsilon: float) -> tuple:
+    """Score terms for every candidate rank k = 1..m-1, ascending in k.
 
-    ``gram_fro_sq`` is the gram-energy argument of the nk*ln(...) term;
-    callers choose it per gram mode. A residual energy below TAIL_FLOOR is
-    floored and the result marked accordingly.
+    ``log_gram`` is the natural log of the gram-energy argument of the
+    nk*ln(...) term; callers choose it per gram mode. The residual energies
+    are reverse cumulative sums of the squared singular values, taken in
+    log space. A residual energy below TAIL_FLOOR is floored and its rank
+    marked accordingly.
     """
-    if not 1 <= k <= m - 1:
-        raise DomainError(f"k={k} outside [1, {m - 1}]")
-    if len(s.singular_values) != m:
-        raise DomainError(
-            f"m={m} does not match the decomposition ({len(s.singular_values)} values)"
-        )
-    if n != s.u.shape[0]:
-        raise DomainError(f"n={n} does not match the decomposition ({s.u.shape[0]} rows)")
-    if not gram_fro_sq > 0:
-        raise DomainError(f"gram_fro_sq must be positive, got {gram_fro_sq}")
+    values = np.asarray(spectrum.singular_values, dtype=np.float64)
+    n, m = spectrum.n, len(values)
+    if m < 2:
+        raise DomainError(f"no candidate rank in [1, {m - 1}]: need m >= 2 singular values")
+    if n < m:
+        raise DomainError(f"n={n} must be >= m={m}")
+    if not math.isfinite(log_gram):
+        raise DomainError(f"log_gram must be finite, got {log_gram}")
     validate_epsilon(epsilon, m)
 
-    tail = tail_energy(s, k)
-    floored = tail < TAIL_FLOOR
-    if floored:
-        tail = TAIL_FLOOR
-    return ComplexityTerms(
-        k=k,
-        tail_term=(n * m - k * n) * math.log(tail),
-        gram_term=n * k * math.log(gram_fro_sq),
-        ratio_term=(m * n - k * n - 1) * math.log((m * n) / (m * n - k * n)),
-        count_term=(n * k + 1) * math.log(n * k),
-        delta_lower=0.0,
-        delta_upper=m * k * math.log(2.0 / (m * epsilon)),
-        floored=floored,
+    scaled, exponent = binary_scaled(values)
+    energy = scaled * scaled
+    tails = np.cumsum(energy[::-1])[::-1][1:]  # tails[k - 1]: sum of s_i^2, i > k
+    with np.errstate(divide="ignore"):
+        log_tail = np.log(tails) + 2 * LN2 * float(exponent[0])
+    floored = log_tail < LOG_TAIL_FLOOR
+    log_tail = np.where(floored, LOG_TAIL_FLOOR, log_tail)
+
+    ks = np.arange(1, m, dtype=np.float64)
+    nk = n * ks
+    columns = (
+        (n * m - nk) * log_tail,
+        nk * log_gram,
+        (m * n - nk - 1) * np.log((m * n) / (m * n - nk)),
+        (nk + 1) * np.log(nk),
+        m * ks * math.log(2.0 / (m * epsilon)),
+        floored,
+    )
+    return tuple(
+        ComplexityTerms(k, *row)
+        for k, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)
     )
 
 
-def _gram_argument(x: np.ndarray, gram_mode: str) -> float:
-    """Gram-energy argument g such that gram_term = n*k*ln(g).
+def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
+    """Natural log of the gram-energy argument g, gram_term = n*k*ln(g).
 
-    full_gram uses the squared Frobenius norm of X^T X. per_row_sum encodes
-    the per-row form k * sum_j ln(X_j . X_j) by passing the geometric mean
-    of the row energies, since n*k*ln(geomean) equals that sum.
+    full_gram uses the squared Frobenius norm of X^T X, which is the sum of
+    the fourth powers of the singular values. per_row_sum encodes the
+    per-row form k * sum_j ln(X_j . X_j) by passing the mean log row
+    energy, since n*k times that mean equals the sum; a row energy below
+    TAIL_FLOOR (a zero row) is floored.
     """
     if gram_mode == "full_gram":
-        gram = x.T @ x
-        return float(np.sum(gram * gram))
-    if gram_mode == "per_row_sum":
-        row_energy = np.sum(x * x, axis=1)
-        row_energy = np.maximum(row_energy, TAIL_FLOOR)
-        return float(np.exp(np.mean(np.log(row_energy))))
-    raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
+        scaled, exponent = binary_scaled(spectrum.singular_values)
+        return math.log(float(np.sum(scaled**4))) + 4 * LN2 * float(exponent[0])
+    scaled, exponent = binary_scaled(x, axis=1)
+    scaled *= scaled  # a fresh array: square in place, no second n x m copy
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(np.sum(scaled, axis=1)) + 2 * LN2 * exponent[:, 0]
+    return float(np.mean(np.maximum(log_rows, LOG_TAIL_FLOOR)))
 
 
 def _argmin_by(per_k, total_attr: str) -> int:
@@ -183,12 +198,16 @@ def _argmin_by(per_k, total_attr: str) -> int:
     return min(per_k, key=lambda t: (getattr(t, total_attr), t.k)).k
 
 
-def select_rank(x, epsilon: float = None, gram_mode: str = "full_gram") -> ComplexityReport:
+def select_rank(
+    x, epsilon: float = None, gram_mode: str = "full_gram", spectrum: Spectrum = None
+) -> ComplexityReport:
     """Score every k in 1..m-1 and select by argmin of both totals.
 
     Ties break toward the smallest k. ``epsilon=None`` uses the default
     1/(2m). The matrix must be taller than wide (or square) with at least
-    one nonzero entry.
+    one nonzero entry. ``spectrum`` is the :func:`singular_spectrum` of
+    *x* when the caller already has it (to share one decomposition between
+    gram modes and baselines); otherwise it is computed here.
     """
     a = as_matrix(x)
     n, m = a.shape
@@ -206,13 +225,15 @@ def select_rank(x, epsilon: float = None, gram_mode: str = "full_gram") -> Compl
     validate_epsilon(epsilon, m)
     if gram_mode not in GRAM_MODES:
         raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
+    if spectrum is None:
+        spectrum = singular_spectrum(a)
+    elif spectrum.n != n or len(spectrum.singular_values) != m:
+        raise DomainError(
+            f"spectrum of a {spectrum.n} x {len(spectrum.singular_values)} matrix "
+            f"does not match the {n} x {m} input"
+        )
 
-    s = svd(a)
-    gram_arg = _gram_argument(a, gram_mode)
-    per_k = tuple(
-        stochastic_complexity_terms(s, gram_arg, n, m, k, epsilon)
-        for k in range(1, m)
-    )
+    per_k = score_table(spectrum, _log_gram(a, spectrum, gram_mode), epsilon)
     k_lower_opt = _argmin_by(per_k, "lower_total")
     k_upper_opt = _argmin_by(per_k, "upper_total")
     bracket = (min(k_lower_opt, k_upper_opt), max(k_lower_opt, k_upper_opt))

@@ -9,6 +9,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParseError
+from .linalg import binary_scaled
+
+# a sample standard deviation below this may come from squared deviations
+# that fell into the subnormal range
+STD_UNDERFLOW = 1e-150
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,24 @@ def center_columns(x) -> np.ndarray:
 
 def standardize_columns(x) -> np.ndarray:
     """Center each column and scale to unit sample standard deviation
-    (n-1 normalization). Raises on constant columns, naming the first."""
+    (n-1 normalization). Raises on constant columns, naming the first.
+
+    When a standard deviation comes out non-finite or below STD_UNDERFLOW,
+    so that squares may have overflowed or underflowed at an extreme data
+    scale, it is taken again from the columns scaled by exact powers of
+    two; that leaves the result unchanged wherever the plain computation is
+    exact.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DomainError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 2:
         raise DomainError("standardization needs at least 2 rows")
-    std = a.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", under="ignore"):
+        std = a.std(axis=0, ddof=1)
+    if not np.all(np.isfinite(std) & (std >= STD_UNDERFLOW)):
+        a = binary_scaled(a, axis=0)[0]
+        std = a.std(axis=0, ddof=1)
     flat = np.flatnonzero(std == 0.0)
     if flat.size:
         raise DegenerateInputError(

@@ -1,4 +1,5 @@
-"""Dense-matrix primitives: SVD, truncated reconstruction, residual energy.
+"""Dense-matrix primitives: the singular spectrum, the full SVD with
+truncated reconstruction, residual energy, and exact power-of-two scaling.
 
 Everything here is a pure function of immutable inputs; returned arrays are
 freshly allocated and safe to share across threads.
@@ -36,20 +37,53 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
+class Spectrum(NamedTuple):
+    """Singular values of an n x m matrix with n >= m.
+
+    ``n`` is the row count of the decomposed matrix and ``singular_values``
+    holds its m singular values in nonincreasing order.
+    """
+
+    n: int
+    singular_values: np.ndarray
+
+
+def _require_tall(a, what):
+    n, m = a.shape
+    if n < m:
+        raise DomainError(
+            f"{what} expects rows >= cols, got {n} x {m}; pass the transpose "
+            "(its singular values are identical)"
+        )
+
+
+def singular_spectrum(x) -> Spectrum:
+    """Singular values of a taller-than-wide matrix, without U or V.
+
+    Everything the rank selection and the scree need is a function of these
+    values, so this is the one decomposition a selection runs. Requires
+    n >= m, and falls back to one-sided Jacobi rotations if the LAPACK
+    driver fails to converge, as :func:`svd` does.
+    """
+    a = as_matrix(x)
+    _require_tall(a, "singular_spectrum")
+    try:
+        values = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        values = jacobi_svd(a).singular_values
+    return Spectrum(n=a.shape[0], singular_values=values)
+
+
 def svd(x) -> SvdResult:
     """Thin SVD of a taller-than-wide matrix.
 
     Requires n >= m (transpose externally otherwise; the singular values of
     the transpose are identical). Falls back to one-sided Jacobi rotations
-    if the LAPACK driver fails to converge.
+    if the LAPACK driver fails to converge. Only the reconstruction
+    (:func:`truncate`) needs U and V; scoring uses :func:`singular_spectrum`.
     """
     a = as_matrix(x)
-    n, m = a.shape
-    if n < m:
-        raise DomainError(
-            f"svd expects rows >= cols, got {n} x {m}; pass the transpose "
-            "(its singular values are identical)"
-        )
+    _require_tall(a, "svd")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -151,3 +185,20 @@ def frobenius_sq(x) -> float:
     """Squared Frobenius norm: the sum of all squared entries."""
     a = as_matrix(x)
     return float(np.sum(a * a))
+
+
+def binary_scaled(x, axis=None):
+    """Split *x* as ``scaled * 2**exponent`` so that the largest magnitude
+    in ``scaled`` (over *axis*, or over all of *x*) lies in [0.5, 1).
+
+    Returns ``(scaled, exponent)``; ``exponent`` is an integer array with the
+    reduced axis kept, so it broadcasts against *x*. Scaling by a power of
+    two is exact, so sums of squares or fourth powers of ``scaled`` neither
+    overflow nor lose the entries that carry them, at any data scale, and
+    their logarithms follow as ``ln(sum) + p * exponent * ln 2``. An all-zero
+    slice gets exponent 0 and stays zero.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    peak = np.maximum(a.max(axis=axis, keepdims=True), -a.min(axis=axis, keepdims=True))
+    exponent = np.frexp(peak)[1]
+    return np.ldexp(a, -exponent), exponent

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from mdlrank import (
+    Spectrum,
     SyntheticSpec,
     frobenius_sq,
     generate_lin,
@@ -31,8 +32,8 @@ from mdlrank import (
     kneedle,
     quantize,
     quantized_unitary_log_count_bound,
+    score_table,
     select_rank,
-    stochastic_complexity_terms,
     svd,
     tail_energy,
     truncate,
@@ -128,14 +129,12 @@ def test_criterion_3_score_arithmetic(announce):
     worked = float(
         8 * mp.log(2) + 4 * mp.log(100) + 7 * mp.log(mpf(3) / 2) - 5 * mp.log(4)
     )
-    x = np.zeros((4, 3))
-    x[:3, :3] = np.diag([math.sqrt(98.0), 1.0, 1.0])
-    t = stochastic_complexity_terms(svd(x), gram_fro_sq=100.0, n=4, m=3, k=1, epsilon=1 / 6)
+    x = Spectrum(n=4, singular_values=np.array([math.sqrt(98.0), 1.0, 1.0]))
+    t = score_table(x, log_gram=math.log(100.0), epsilon=1 / 6)[0]  # k = 1
     gap_worked = abs(t.lower_total - worked)
 
-    y = np.zeros((20, 10))
-    y[:10, :10] = np.diag(np.arange(10, 0, -1.0))
-    t2 = stochastic_complexity_terms(svd(y), gram_fro_sq=1.0, n=20, m=10, k=2, epsilon=0.05)
+    y = Spectrum(n=20, singular_values=np.arange(10, 0, -1.0))
+    t2 = score_table(y, log_gram=0.0, epsilon=0.05)[1]  # k = 2
     gap_delta = abs(t2.delta_upper - 20 * math.log(4.0))
 
     ok = gap_worked <= 1e-9 and gap_delta <= 1e-12

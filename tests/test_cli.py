@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ class TestSelect:
         assert report["epsilon"] == pytest.approx(1 / 60, abs=0)
         assert report["input"]["kind"] == "csv"
         assert "timestamp" not in report
+        assert "skipped" not in report["baselines"]
 
     def test_synthetic_planted_rank_in_bracket(self, capsys):
         status, out, _ = _run(LIN10, capsys)
@@ -121,7 +123,10 @@ class TestSelect:
         text = table.read_text()
         assert not any(line.endswith(",") for line in text.splitlines())
         rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0][:3] == ["k", "tail_term", "gram_term"]
+        assert rows[0] == [
+            "k", "tail_term", "gram_term", "ratio_term", "count_term", "delta_upper",
+            "lower_total", "upper_total", "gap_ratio", "floored",
+        ]
         assert len(rows) == 30  # header + k = 1..29
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(1, 30)]
 
@@ -142,6 +147,96 @@ class TestSelect:
         _, out, _ = _run(LIN10, capsys)
         report = json.loads(out)
         assert json.loads(json.dumps(report)) == report
+
+
+def _write_gaussian_csv(path, scale):
+    x = np.random.default_rng(0).standard_normal((200, 8)) * scale
+    lines = [",".join(f"c{j}" for j in range(8))]
+    lines += [",".join(repr(float(v)) for v in row) for row in x]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestExtremeScales:
+    """Energies are taken in log space, so data far outside unit scale
+    still gives a finite report rather than an overflow traceback (exit 1)
+    or an underflowed gram energy (exit 4)."""
+
+    @staticmethod
+    def _select(path, capsys):
+        status, out, err = _run(
+            ["select", "--input", str(path), "--raw", "--both-gram-modes", "--reproducible"],
+            capsys,
+        )
+        assert status == 0 and err == ""
+        return json.loads(out)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160])
+    def test_select_exits_cleanly_with_finite_totals(self, tmp_path, capsys, scale):
+        unit = self._select(_write_gaussian_csv(tmp_path / "unit.csv", 1.0), capsys)
+        report = self._select(_write_gaussian_csv(tmp_path / "scaled.csv", scale), capsys)
+        for block in (report, report["alt"]):
+            for row in block["per_k"]:
+                assert math.isfinite(row["lower_total"]) and math.isfinite(row["upper_total"])
+        assert report["baselines"] == unit["baselines"]
+        floored = [row["floored"] for row in report["per_k"]]
+        # residual energies below the 1e-300 floor are floored and marked
+        assert any(floored) == (scale < 1.0)
+        assert not any(row["floored"] for row in unit["per_k"])
+
+    @requires_jsonschema
+    def test_flat_price_column_skips_kaiser_only(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        prices = np.exp(rng.normal(0, 0.01, (200, 6)).cumsum(0)) * 100
+        prices[:, 3] = 42.0
+        p = tmp_path / "flat.csv"
+        p.write_text("\n".join(
+            ["a,b,c,d,e,f"] + [",".join(f"{v:.4f}" for v in row) for row in prices]
+        ) + "\n")
+        status, out, err = _run(["select", "--input", str(p), "--reproducible"], capsys)
+        assert status == 0 and err == ""
+        report = json.loads(out)
+        assert report["baselines"]["kaiser"] is None
+        assert "column 4 is constant" in report["baselines"]["skipped"]["kaiser"]
+        assert 1 <= report["k_lower_opt"] <= 5
+        jsonschema.validate(report, _schema())
+
+
+class TestOneDecompositionPerMatrix:
+    """Selection, both gram modes and the baselines share one values-only
+    decomposition of each analysed matrix."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_select_both_gram_modes(self, svd_calls, capsys):
+        status, _, _ = _run(LIN10 + ["--both-gram-modes"], capsys)
+        assert status == 0
+        assert svd_calls == [False]
+
+    def test_compare_once_per_prefix(self, svd_calls, capsys):
+        status, _, _ = _run(
+            ["compare", "--synthetic", "lin", "--n", "500", "--m", "30", "--true-k", "5",
+             "--seed", "7", "--lengths", "200,300,500", "--reproducible"],
+            capsys,
+        )
+        assert status == 0
+        assert svd_calls == [False, False, False]
+
+    def test_scree(self, svd_calls, tmp_path, capsys):
+        p = _write_diag321(tmp_path)
+        status, _, _ = _run(["scree", "--input", str(p), "--raw", "--no-header"], capsys)
+        assert status == 0
+        assert svd_calls == [False]
 
 
 class TestScree:

@@ -2,23 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdlrank import (
     DegenerateInputError,
     DomainError,
     RegressionNmlInputs,
+    Spectrum,
     SyntheticSpec,
     bound_gap_ratio,
     default_epsilon,
     generate_lin,
     regression_nml,
+    score_table,
     select_rank,
-    stochastic_complexity_terms,
+    singular_spectrum,
     svd,
     tail_energy,
 )
 from mdlrank.complexity import ComplexityTerms, _argmin_by
 from helpers import planted_rank_matrix
+
+# seeded once per example: deterministic, and no example database on disk
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 # 8 ln2 + 4 ln100 + 7 ln1.5 - 5 ln4, frozen from a 50-digit evaluation
 WORKED_SCORE = 19.872642139589626
@@ -43,38 +49,28 @@ class TestRegressionNml:
             RegressionNmlInputs(n_obs=5, n_params=2, tau_hat=tau, fit_energy=fit)
 
 
-def _svd_with_values(n, values):
-    """SVD of the n x m matrix whose nonzero block is diag(values)."""
-    m = len(values)
-    x = np.zeros((n, m))
-    x[:m, :m] = np.diag(values)
-    return svd(x)
+def _spectrum(n, values):
+    """Spectrum of the n x m matrix whose nonzero block is diag(values)."""
+    return Spectrum(n=n, singular_values=np.array(values, dtype=np.float64))
 
 
 class TestStochasticComplexityTerms:
+    """The per-k stochastic-complexity terms, as tabulated by score_table."""
+
     def test_worked_example(self):
-        s = _svd_with_values(4, [math.sqrt(98.0), 1.0, 1.0])
-        t = stochastic_complexity_terms(s, gram_fro_sq=100.0, n=4, m=3, k=1, epsilon=1 / 6)
-        assert tail_energy(s, 1) == pytest.approx(2.0, abs=1e-12)
+        t = score_table(_spectrum(4, [math.sqrt(98.0), 1.0, 1.0]), math.log(100.0), epsilon=1 / 6)[0]
+        assert t.k == 1
         assert t.lower_total == pytest.approx(WORKED_SCORE, abs=1e-9)
 
     def test_delta_upper_closed_form(self):
-        s = _svd_with_values(20, list(range(10, 0, -1)))
-        t = stochastic_complexity_terms(s, gram_fro_sq=1.0, n=20, m=10, k=2, epsilon=0.05)
-        assert t.delta_upper == pytest.approx(20 * math.log(4.0), abs=1e-12)
-
-    def test_delta_lower_always_zero(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((12, 5))
-        s = svd(x)
-        for k in range(1, 5):
-            t = stochastic_complexity_terms(s, 10.0, 12, 5, k, epsilon=0.1)
-            assert t.delta_lower == 0.0
-            assert t.upper_total >= t.lower_total
+        per_k = score_table(_spectrum(20, list(range(10, 0, -1))), 0.0, epsilon=0.05)
+        assert per_k[1].k == 2
+        assert per_k[1].delta_upper == pytest.approx(20 * math.log(4.0), abs=1e-12)
+        assert all(t.upper_total >= t.lower_total for t in per_k)
 
     def test_matches_regression_kernel(self):
-        """The two code paths must agree: the k-score is the regression
-        code length at n_obs=mn, n_params=kn, tau=tail energy."""
+        """The table must agree with the scalar kernel: the k-score is the
+        regression code length at n_obs=mn, n_params=kn, tau=tail energy."""
         rng = np.random.default_rng(17)
         for _ in range(10):
             n, m = int(rng.integers(6, 30)), int(rng.integers(3, 8))
@@ -82,41 +78,46 @@ class TestStochasticComplexityTerms:
             x = rng.standard_normal((n, m))
             s = svd(x)
             gram = float(np.sum((x.T @ x) ** 2))
-            for k in range(1, m):
-                t = stochastic_complexity_terms(s, gram, n, m, k, epsilon=default_epsilon(m))
+            per_k = score_table(singular_spectrum(x), math.log(gram), epsilon=default_epsilon(m))
+            assert [t.k for t in per_k] == list(range(1, m))
+            for t in per_k:
                 kernel = regression_nml(
                     RegressionNmlInputs(
                         n_obs=m * n,
-                        n_params=k * n,
-                        tau_hat=tail_energy(s, k),
+                        n_params=t.k * n,
+                        tau_hat=tail_energy(s, t.k),
                         fit_energy=gram,
                     )
                 )
                 assert t.lower_total == pytest.approx(kernel, rel=1e-12)
 
     def test_k_out_of_range(self):
-        s = _svd_with_values(4, [3.0, 2.0, 1.0])
-        for k in (0, 3):
-            with pytest.raises(DomainError):
-                stochastic_complexity_terms(s, 1.0, 4, 3, k, epsilon=1 / 6)
+        """A single singular value leaves no candidate rank in [1, m-1]; a
+        spectrum with more values than rows is not a taller-than-wide one."""
+        with pytest.raises(DomainError):
+            score_table(_spectrum(4, [3.0]), 0.0, epsilon=0.25)
+        with pytest.raises(DomainError):
+            score_table(_spectrum(2, [3.0, 2.0, 1.0]), 0.0, epsilon=1 / 6)
 
     def test_invalid_epsilon(self):
-        s = _svd_with_values(4, [3.0, 2.0, 1.0])
+        s = _spectrum(4, [3.0, 2.0, 1.0])
         with pytest.raises(DomainError):
-            stochastic_complexity_terms(s, 1.0, 4, 3, 1, epsilon=0.4)  # >= 1/m
+            score_table(s, 0.0, epsilon=0.4)  # >= 1/m
         with pytest.raises(DomainError):
-            stochastic_complexity_terms(s, 1.0, 4, 3, 1, epsilon=0.15)  # 1/eps not integer
+            score_table(s, 0.0, epsilon=0.15)  # 1/eps not integer
+        with pytest.raises(DomainError):
+            score_table(s, math.inf, epsilon=1 / 6)  # gram energy must be finite
 
     def test_tail_floor_marks_exactly_zero_tail(self):
-        s = _svd_with_values(20, [3.0, 2.0, 0.0, 0.0, 0.0])
-        t = stochastic_complexity_terms(s, 10.0, 20, 5, 4, epsilon=0.1)
-        assert t.floored
-        assert math.isfinite(t.lower_total)
+        per_k = score_table(_spectrum(20, [3.0, 2.0, 0.0, 0.0, 0.0]), math.log(10.0), epsilon=0.1)
+        assert [t.floored for t in per_k] == [False, True, True, True]
+        assert all(math.isfinite(t.lower_total) for t in per_k)
 
     def test_tiny_nonzero_tail_not_floored(self):
         rng = np.random.default_rng(9)
         x = planted_rank_matrix(rng, 20, 5, 2)
-        t = stochastic_complexity_terms(svd(x), 10.0, 20, 5, 4, epsilon=0.1)
+        t = score_table(singular_spectrum(x), math.log(10.0), epsilon=0.1)[3]
+        assert t.k == 4
         assert not t.floored
         assert math.isfinite(t.lower_total)
 
@@ -180,6 +181,14 @@ class TestSelectRank:
         with pytest.raises(DomainError, match="transpose"):
             select_rank(np.ones((3, 5)))
 
+    def test_shared_spectrum_must_match_the_matrix(self):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((12, 4))
+        shared = select_rank(x, spectrum=singular_spectrum(x))
+        assert shared.per_k == select_rank(x).per_k
+        with pytest.raises(DomainError, match="does not match"):
+            select_rank(x, spectrum=singular_spectrum(x[:-1]))
+
     def test_invalid_gram_mode(self):
         with pytest.raises(DomainError):
             select_rank(np.eye(4), gram_mode="mystery")
@@ -194,7 +203,6 @@ class TestArgminTieBreaking:
             gram_term=0.0,
             ratio_term=0.0,
             count_term=0.0,
-            delta_lower=0.0,
             delta_upper=0.0,
         )
 
@@ -224,7 +232,6 @@ class TestBoundGapRatio:
                 gram_term=0.0,
                 ratio_term=0.0,
                 count_term=0.0,
-                delta_lower=0.0,
                 delta_upper=delta,
             )
             for k, (total, delta) in enumerate(totals_and_deltas, start=1)
@@ -271,3 +278,55 @@ def test_exact_rank_recovery_property():
         x = x0 + rng.normal(0.0, 1e-6 * lam_r, (n, m))
         rep = select_rank(x)
         assert rep.k_lower_opt == r and rep.k_upper_opt == r, (trial, r, m)
+
+
+def _gaussian(seed, n, m):
+    return np.random.default_rng(seed).standard_normal((n, m))
+
+
+def _totals(rep):
+    return np.array([[t.lower_total, t.upper_total] for t in rep.per_k])
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log10_c=st.floats(-100.0, 100.0),
+)
+def test_full_gram_scale_identity(seed, log10_c):
+    """Rescaling X by c adds exactly 2nm ln c + 2nk ln c to the rank-k
+    score under full_gram (the tail energy is quadratic in X, the gram
+    energy quartic), for c from 1e-100 to 1e100. Floored ranks are exempt:
+    their residual energy is replaced by a constant."""
+    n, m = 15, 5
+    x = _gaussian(seed, n, m)
+    c = 10.0**log10_c
+    base, scaled = select_rank(x), select_rank(x * c)
+    ln_c = math.log(c)
+    for t0, t1 in zip(base.per_k, scaled.per_k):
+        if t0.floored or t1.floored:
+            continue
+        shift = 2 * n * m * ln_c + 2 * n * t0.k * ln_c
+        magnitude = sum(abs(v) for v in (t0.tail_term, t0.gram_term, t1.tail_term, t1.gram_term))
+        assert abs((t1.lower_total - t0.lower_total) - shift) <= 1e-12 * magnitude + 1e-9
+        assert t1.delta_upper == t0.delta_upper
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gram_mode=st.sampled_from(["full_gram", "per_row_sum"]),
+    data=st.data(),
+)
+def test_row_and_column_permutation_invariance(seed, gram_mode, data):
+    """Reordering the observations or the variables changes neither the
+    selected ranks nor, beyond rounding, the per-k totals."""
+    n, m = 20, 6
+    x = _gaussian(seed, n, m)
+    rows = np.array(data.draw(st.permutations(range(n)), label="rows"))
+    cols = np.array(data.draw(st.permutations(range(m)), label="cols"))
+    base = select_rank(x, gram_mode=gram_mode)
+    for moved in (x[rows], x[:, cols], x[rows][:, cols]):
+        rep = select_rank(moved, gram_mode=gram_mode)
+        assert (rep.k_lower_opt, rep.k_upper_opt) == (base.k_lower_opt, base.k_upper_opt)
+        np.testing.assert_allclose(_totals(rep), _totals(base), rtol=1e-12)

@@ -6,6 +6,7 @@ from mdlrank import (
     DomainError,
     frobenius_sq,
     jacobi_svd,
+    singular_spectrum,
     svd,
     tail_energy,
     truncate,
@@ -53,6 +54,33 @@ class TestSvd:
     def test_rejects_wide_matrix(self):
         with pytest.raises(DomainError, match="transpose"):
             svd(np.ones((2, 5)))
+
+
+class TestSingularSpectrum:
+    def test_matches_gram_eigenvalue_oracle(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((9, 4))
+        spec = singular_spectrum(x)
+        assert spec.n == 9
+        np.testing.assert_allclose(
+            spec.singular_values, singular_values_by_gram_eig(x), atol=1e-8
+        )
+
+    def test_validates_like_svd(self):
+        with pytest.raises(DomainError):
+            singular_spectrum(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="transpose"):
+            singular_spectrum(np.ones((2, 5)))
+
+    def test_falls_back_to_jacobi_when_lapack_fails(self, monkeypatch):
+        x = np.random.default_rng(13).standard_normal((8, 3))
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        expected = jacobi_svd(x).singular_values
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        np.testing.assert_array_equal(singular_spectrum(x).singular_values, expected)
 
 
 class TestJacobiSvd:
