@@ -9,6 +9,9 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .linalg import Spectrum, binary_scaled
 
+# the knee is an interior point, so a curve needs both ends and one between
+KNEE_MIN_POINTS = 3
+
 
 @dataclass(frozen=True)
 class ScreeCurve:
@@ -25,11 +28,19 @@ def scree(s: Spectrum, normalized: bool = False) -> ScreeCurve:
     *s* is a :class:`~mdlrank.linalg.Spectrum` or an SVD result; only its
     ``singular_values`` are read. The normalized curve is formed from the
     values scaled by an exact power of two, so it neither overflows nor
-    underflows at extreme data scales.
+    underflows at extreme data scales; the plain curve raises DomainError
+    when a nonzero value's square overflows or underflows to zero.
     """
     values = np.asarray(s.singular_values, dtype=np.float64)
     if not normalized:
-        return ScreeCurve(variances=values**2, normalized=False)
+        with np.errstate(over="ignore", under="ignore"):
+            variances = values**2
+        if not np.isfinite(variances).all() or ((variances == 0.0) & (values != 0.0)).any():
+            raise DomainError(
+                "squared singular values overflow or underflow at this data "
+                "scale; pass --normalized for the curve scaled to sum to 1"
+            )
+        return ScreeCurve(variances=variances, normalized=False)
     variances = binary_scaled(values)[0] ** 2
     total = variances.sum()
     if total == 0.0:
@@ -62,8 +73,8 @@ def kneedle(curve: ScreeCurve, sensitivity: float = 1.0) -> Optional[int]:
         raise DomainError(f"sensitivity must be positive, got {sensitivity}")
     y = np.asarray(curve.variances, dtype=np.float64)
     n = len(y)
-    if n < 3:
-        raise DomainError(f"knee detection needs at least 3 points, got {n}")
+    if n < KNEE_MIN_POINTS:
+        raise DomainError(f"knee detection needs at least {KNEE_MIN_POINTS} points, got {n}")
     y_span = y.max() - y.min()
     if y_span == 0.0:
         return None

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .baselines import kaiser, kneedle, scree
+from .baselines import KNEE_MIN_POINTS, kaiser, kneedle, scree
 from .complexity import bound_gap_ratio, select_rank
 from .datasets import (
     SyntheticSpec,
@@ -90,18 +90,30 @@ def _load_input(args):
 def _baselines(matrix, spectrum, sensitivity):
     """Kaiser count on correlation eigenvalues plus knee of the scree.
 
-    Kaiser cannot standardize a constant column; it is then reported as
+    A baseline that cannot use the input (Kaiser on a constant column, the
+    knee on a scree of fewer than KNEE_MIN_POINTS points) is reported as
     null with the reason under ``skipped``, and the run goes on, since the
     selection does not depend on it.
     """
-    out = {"kaiser": None, "kneedle": kneedle(scree(spectrum, normalized=True), sensitivity)}
+    out = {"kaiser": None, "kneedle": None}
+    skipped = {}
     try:
         z = standardize_columns(matrix)
     except DegenerateInputError as exc:
-        out["skipped"] = {"kaiser": str(exc)}
-        return out
-    corr = z.T @ z / (z.shape[0] - 1)
-    out["kaiser"] = kaiser(np.linalg.eigvalsh(corr))
+        skipped["kaiser"] = str(exc)
+    else:
+        corr = z.T @ z / (z.shape[0] - 1)
+        out["kaiser"] = kaiser(np.linalg.eigvalsh(corr))
+    curve = scree(spectrum, normalized=True)
+    if curve.variances.size < KNEE_MIN_POINTS:
+        skipped["kneedle"] = (
+            f"knee detection needs at least {KNEE_MIN_POINTS} scree points, "
+            f"got {curve.variances.size}"
+        )
+    else:
+        out["kneedle"] = kneedle(curve, sensitivity)
+    if skipped:
+        out["skipped"] = skipped
     return out
 
 

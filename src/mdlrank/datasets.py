@@ -3,6 +3,7 @@ and seeded synthetic generators with planted linear structure."""
 
 import csv
 import importlib.resources
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -159,46 +160,86 @@ def standardize_columns(x) -> np.ndarray:
     return (a - a.mean(axis=0)) / std
 
 
-def _parse_cells(path, has_header):
-    """Shared CSV scanner: returns (names, rows of floats), with 1-based
-    file coordinates on any parse failure."""
+def _read_fast(path, has_header):
+    """One streaming ``np.loadtxt`` read of a numeric CSV.
+
+    Returns (names, matrix) with at least one row, every cell finite and
+    every row as wide as the names; returns None whenever the file needs
+    the scanner's verdict instead (a cell loadtxt cannot convert, a ragged
+    row, no data, a non-finite cell, a quoted header, an unreadable file).
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            raw = list(csv.reader(fh))
-    except OSError as exc:
+            names = None
+            if has_header:
+                line = fh.readline()
+                while line and not line.strip("\r\n"):  # csv drops blank lines
+                    line = fh.readline()
+                if not line or '"' in line:
+                    return None
+                names = tuple(cell.strip() for cell in next(csv.reader([line])))
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                matrix = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=np.float64
+                )
+    except (OSError, ValueError, csv.Error):
+        return None
+    if names is None:
+        names = tuple(f"col_{j + 1}" for j in range(matrix.shape[1]))
+    if matrix.shape[0] == 0 or matrix.shape[1] != len(names) or not np.isfinite(matrix).all():
+        return None
+    return names, matrix
+
+
+def _parse_cells(path, has_header):
+    """Shared CSV scanner: returns (names, rows of floats), with 1-based
+    file coordinates on any parse failure. A row number is the file line
+    on which its record starts."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            raw = []
+            first_line = 1
+            for record in reader:
+                if record:  # drop blank lines
+                    raw.append((first_line, record))
+                first_line = reader.line_num + 1
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    raw = [r for r in raw if r]  # drop blank lines
     if not raw:
         raise ParseError(f"{path} is empty")
     start = 0
     if has_header:
-        names = tuple(cell.strip() for cell in raw[0])
+        names = tuple(cell.strip() for cell in raw[0][1])
         start = 1
     else:
-        names = tuple(f"col_{j + 1}" for j in range(len(raw[0])))
+        names = tuple(f"col_{j + 1}" for j in range(len(raw[0][1])))
     width = len(names)
     rows = []
-    for i in range(start, len(raw)):
-        record = raw[i]
+    for line, record in raw[start:]:
         if len(record) != width:
             raise ParseError(
-                f"ragged row: expected {width} cells, got {len(record)}", row=i + 1
+                f"ragged row: expected {width} cells, got {len(record)}", row=line
             )
         parsed = []
         for j, cell in enumerate(record):
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(f"non-numeric cell {cell!r}", row=i + 1, col=j + 1) from None
+                raise ParseError(f"non-numeric cell {cell!r}", row=line, col=j + 1) from None
             if not np.isfinite(value):
-                raise ParseError(f"non-finite cell {cell!r}", row=i + 1, col=j + 1)
+                raise ParseError(f"non-finite cell {cell!r}", row=line, col=j + 1)
             parsed.append(value)
-        rows.append((i + 1, parsed))
+        rows.append((line, parsed))
     return names, rows
 
 
 def load_csv(path, has_header: bool = True) -> PriceTable:
     """Load a comma-separated price table: finite, strictly positive reals."""
+    fast = _read_fast(path, has_header)
+    if fast is not None and fast[1].shape[0] >= 2 and (fast[1] > 0).all():
+        return PriceTable(column_names=fast[0], prices=fast[1])
     names, rows = _parse_cells(path, has_header)
     if len(rows) < 2:
         raise DegenerateInputError(
@@ -219,6 +260,9 @@ def load_matrix_csv(path, has_header: bool = True):
 
     Returns (column_names, matrix).
     """
+    fast = _read_fast(path, has_header)
+    if fast is not None:
+        return fast
     names, rows = _parse_cells(path, has_header)
     if not rows:
         raise DegenerateInputError(f"{path} has no data rows")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,30 @@ class TestExtremeScales:
         jsonschema.validate(report, _schema())
 
 
+class TestTwoColumns:
+    """With m = 2 the scree has too few points for a knee: kneedle is
+    reported as null with its reason, and the selection still runs."""
+
+    @requires_jsonschema
+    @pytest.mark.parametrize(
+        "command", [[], ["compare", "--lengths", "10,30"]], ids=["select", "compare"]
+    )
+    def test_kneedle_skipped(self, tmp_path, capsys, command):
+        p = tmp_path / "g.csv"
+        x = np.random.default_rng(3).standard_normal((30, 2))
+        p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in x) + "\n")
+        argv = (command or ["select"]) + ["--input", str(p), "--raw", "--no-header", "--reproducible"]
+        status, out, err = _run(argv, capsys)
+        assert status == 0 and err == ""
+        reports = json.loads(out)
+        for report in reports if command else [reports]:
+            assert report["baselines"]["kneedle"] is None
+            assert "at least 3" in report["baselines"]["skipped"]["kneedle"]
+            assert isinstance(report["baselines"]["kaiser"], int)
+            assert report["k_lower_opt"] == 1
+            jsonschema.validate(report, _schema())
+
+
 class TestOneDecompositionPerMatrix:
     """Selection, both gram modes and the baselines share one values-only
     decomposition of each analysed matrix."""
@@ -272,6 +297,23 @@ class TestScree:
         p = _write_diag321(tmp_path)
         _, out, _ = _run(["scree", "--input", str(p), "--raw", "--no-header"], capsys)
         assert not any(line.endswith(",") for line in out.splitlines())
+
+
+class TestScreeRange:
+    """The plain curve squares in linear space; where a nonzero square
+    leaves float64, scree exits 4 pointing at --normalized, with no numpy
+    warning."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_out_of_range_squares_are_a_domain_error(self, tmp_path, capsys, scale):
+        p = _write_gaussian_csv(tmp_path / "g.csv", scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = _run(["scree", "--input", str(p), "--raw"], capsys)
+        assert status == 4 and out == ""
+        assert "--normalized" in err
+        status, out, _ = _run(["scree", "--input", str(p), "--raw", "--normalized"], capsys)
+        assert status == 0 and "inf" not in out
 
 
 class TestCompare:

@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from mdlrank import datasets
 from mdlrank import (
     DegenerateInputError,
     center_columns,
@@ -187,6 +191,100 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(tmp_path / "nope.csv")
+
+
+class TestFileLineCoordinates:
+    """Blank lines count: an error cites the file line on which the
+    offending record starts."""
+
+    @pytest.mark.parametrize(
+        "text, load, message",
+        [
+            ("a,b\n\n1,2\n\nx,3\n", load_matrix_csv, "non-numeric cell 'x' (row 5, column 1)"),
+            ("a,b\n\n1,2\n\n\n1.5\n", load_csv, "ragged row: expected 2 cells, got 1 (row 6)"),
+            ("\na,b\n1,2\r\n\r\n1.5,-2.5\n", load_csv, "nonpositive price -2.5 (row 5, column 2)"),
+            ('a,b\n"1\n",2\nx,3\n', load_matrix_csv, "non-numeric cell 'x' (row 4, column 1)"),
+        ],
+        ids=["bad-cell", "ragged-row", "nonpositive-price", "after-multi-line-record"],
+    )
+    def test_error_cites_file_line(self, tmp_path, text, load, message):
+        p = tmp_path / "blanks.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with pytest.raises(ParseError) as info:
+            load(p)
+        assert str(info.value) == message
+
+
+class TestUnreadableFile:
+    """Decoding and csv-module failures are data errors, not tracebacks."""
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        with pytest.raises(ParseError, match="cannot read"):
+            load_matrix_csv(p)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text("a,b\n1," + "1" * 200_000 + "\n2,3\n")
+        with pytest.raises(ParseError, match="cannot read"):
+            load_csv(p)
+
+
+def _write_prices(path, rows, cols, header=True):
+    prices = np.exp(np.random.default_rng(64).normal(0, 0.01, (rows, cols)).cumsum(0)) * 500
+    lines = [",".join(f"p{j + 1}" for j in range(cols))] if header else []
+    lines += [",".join(f"{v:.4f}" for v in row) for row in prices]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestVectorisedRead:
+    """Well-formed files take one loadtxt pass; the scanner runs only for
+    files that pass needs its verdict on."""
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_well_formed_files_skip_the_scanner(self, tmp_path, monkeypatch, header):
+        p = _write_prices(tmp_path / "p.csv", 30, 4, header=header)
+        expected = datasets._parse_cells(p, header)
+
+        def scanner(*args):
+            raise AssertionError("the scanner ran on a well-formed file")
+
+        monkeypatch.setattr(datasets, "_parse_cells", scanner)
+        table = load_csv(p, has_header=header)
+        names, matrix = load_matrix_csv(p, has_header=header)
+        assert table.column_names == names == expected[0]
+        want = np.array([r for _, r in expected[1]], dtype=np.float64)
+        assert table.prices.tobytes() == matrix.tobytes() == want.tobytes()
+
+    def test_cells_only_float_accepts_fall_back_to_the_scanner(self, tmp_path):
+        p = tmp_path / "odd.csv"
+        p.write_text('a,b\n1_0,"2"\n\uff13,4\n', encoding="utf-8")
+        names, matrix = load_matrix_csv(p)
+        assert names == ("a", "b")
+        np.testing.assert_array_equal(matrix, [[10.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("load", [load_csv, load_matrix_csv])
+    def test_header_only_file_warns_nothing(self, tmp_path, load):
+        p = tmp_path / "header.csv"
+        p.write_text("a,b\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError):
+                load(p)
+
+    def test_parse_peak_memory_is_bounded_by_the_result(self, tmp_path):
+        p = _write_prices(tmp_path / "p.csv", 2000, 40)
+        load_csv(p)  # warm any lazy imports out of the measurement
+        tracemalloc.start()
+        try:
+            table = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.prices.nbytes
 
 
 class TestLoadMatrixCsv:
