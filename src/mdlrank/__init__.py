@@ -9,19 +9,14 @@ from .baselines import ScreeCurve, kaiser, kneedle, scree
 from .complexity import (
     ComplexityReport,
     ComplexityTerms,
-    RegressionNmlInputs,
-    bound_gap_ratio,
     default_epsilon,
-    regression_nml,
     score_table,
     select_rank,
 )
 from .datasets import (
     PriceTable,
     SyntheticSpec,
-    center_columns,
     generate_lin,
-    generator_metadata,
     load_csv,
     load_matrix_csv,
     returns_transform,
@@ -30,9 +25,7 @@ from .datasets import (
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
 from .linalg import (
     Spectrum,
-    SvdResult,
     frobenius_sq,
-    jacobi_svd,
     singular_spectrum,
     svd,
     tail_energy,
@@ -40,15 +33,10 @@ from .linalg import (
 )
 from .quantization import (
     DiscreteModel,
-    QuantizedLoadings,
-    SandwichCheck,
     inner_product_perturbation_bound,
-    maximized_likelihood_integral,
     quantize,
     quantized_unitary_log_count_bound,
-    validate_epsilon,
     verify_elimination_sandwich,
-    worst_case_inner_product_bound,
 )
 
 __version__ = "0.1.0"
@@ -62,29 +50,19 @@ __all__ = [
     "DomainError",
     "ParseError",
     "PriceTable",
-    "QuantizedLoadings",
-    "RegressionNmlInputs",
-    "SandwichCheck",
     "ScreeCurve",
     "Spectrum",
-    "SvdResult",
     "SyntheticSpec",
-    "bound_gap_ratio",
-    "center_columns",
     "default_epsilon",
     "frobenius_sq",
     "generate_lin",
-    "generator_metadata",
     "inner_product_perturbation_bound",
-    "jacobi_svd",
     "kaiser",
     "kneedle",
     "load_csv",
     "load_matrix_csv",
-    "maximized_likelihood_integral",
     "quantize",
     "quantized_unitary_log_count_bound",
-    "regression_nml",
     "returns_transform",
     "score_table",
     "scree",
@@ -94,7 +72,5 @@ __all__ = [
     "svd",
     "tail_energy",
     "truncate",
-    "validate_epsilon",
     "verify_elimination_sandwich",
-    "worst_case_inner_product_bound",
 ]

@@ -69,7 +69,7 @@ def kneedle(curve: ScreeCurve, sensitivity: float = 1.0) -> Optional[int]:
 
     Identical output for any positive affine transform of the y axis.
     """
-    if sensitivity <= 0:
+    if not sensitivity > 0:
         raise DomainError(f"sensitivity must be positive, got {sensitivity}")
     y = np.asarray(curve.variances, dtype=np.float64)
     n = len(y)

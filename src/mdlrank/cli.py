@@ -10,6 +10,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import KNEE_MIN_POINTS, kaiser, kneedle, scree
-from .complexity import bound_gap_ratio, select_rank
+from .complexity import GRAM_MODES, default_epsilon, select_rank
 from .datasets import (
     SyntheticSpec,
     generate_lin,
@@ -32,6 +33,21 @@ from .linalg import singular_spectrum
 
 SCHEMA_VERSION = 2
 
+# the per-k report row: JSON keys and --table CSV columns, in order; each
+# is an attribute of ComplexityTerms
+PER_K_COLUMNS = [
+    "k",
+    "tail_term",
+    "gram_term",
+    "ratio_term",
+    "count_term",
+    "delta_upper",
+    "lower_total",
+    "upper_total",
+    "gap_ratio",
+    "floored",
+]
+
 
 class UsageError(Exception):
     """Bad arguments detected after parsing; maps to exit status 2."""
@@ -40,7 +56,7 @@ class UsageError(Exception):
 def _resolve_epsilon(text: str, m: int) -> float:
     """Exact-rational validation of --epsilon; "auto" means 1/(2m)."""
     if text == "auto":
-        return float(Fraction(1, 2 * m))
+        return default_epsilon(m)
     try:
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -50,6 +66,17 @@ def _resolve_epsilon(text: str, m: int) -> float:
     if frac >= Fraction(1, m):
         raise UsageError(f"--epsilon {text} must be < 1/m = 1/{m}")
     return float(frac)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a finite value > 0; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _spec_from_flags(args) -> SyntheticSpec:
@@ -119,25 +146,9 @@ def _baselines(matrix, spectrum, sensitivity):
 
 def _selection_block(matrix, spectrum, epsilon, gram_mode):
     report = select_rank(matrix, epsilon=epsilon, gram_mode=gram_mode, spectrum=spectrum)
-    ratios = dict(bound_gap_ratio(report))
-    per_k = [
-        {
-            "k": t.k,
-            "tail_term": t.tail_term,
-            "gram_term": t.gram_term,
-            "ratio_term": t.ratio_term,
-            "count_term": t.count_term,
-            "delta_upper": t.delta_upper,
-            "lower_total": t.lower_total,
-            "upper_total": t.upper_total,
-            "gap_ratio": ratios[t.k],
-            "floored": t.floored,
-        }
-        for t in report.per_k
-    ]
-    return report, {
+    return {
         "gram_mode": gram_mode,
-        "per_k": per_k,
+        "per_k": [{c: getattr(t, c) for c in PER_K_COLUMNS} for t in report.per_k],
         "k_lower_opt": report.k_lower_opt,
         "k_upper_opt": report.k_upper_opt,
         "k_bracket": list(report.k_bracket),
@@ -149,7 +160,7 @@ def _run_report(args, descriptor, matrix, generator):
     epsilon = _resolve_epsilon(args.epsilon, m)
     primary_mode = "full_gram" if args.both_gram_modes else args.gram_mode
     spectrum = singular_spectrum(matrix)
-    report, block = _selection_block(matrix, spectrum, epsilon, primary_mode)
+    block = _selection_block(matrix, spectrum, epsilon, primary_mode)
     out = {
         "schema_version": SCHEMA_VERSION,
         "tool": "mdlrank",
@@ -163,13 +174,12 @@ def _run_report(args, descriptor, matrix, generator):
     }
     out.update(block)
     if args.both_gram_modes:
-        _, alt = _selection_block(matrix, spectrum, epsilon, "per_row_sum")
-        out["alt"] = alt
+        out["alt"] = _selection_block(matrix, spectrum, epsilon, "per_row_sum")
     if not args.reproducible:
         out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         )
-    return report, out
+    return out
 
 
 def _emit_text(text, path):
@@ -182,20 +192,6 @@ def _emit_text(text, path):
 
 def _emit_json(payload, path):
     _emit_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
-
-
-PER_K_COLUMNS = [
-    "k",
-    "tail_term",
-    "gram_term",
-    "ratio_term",
-    "count_term",
-    "delta_upper",
-    "lower_total",
-    "upper_total",
-    "gap_ratio",
-    "floored",
-]
 
 
 def _per_k_csv(per_k):
@@ -211,7 +207,7 @@ def _per_k_csv(per_k):
 
 def cmd_select(args) -> int:
     descriptor, matrix, generator = _load_input(args)
-    _, out = _run_report(args, descriptor, matrix, generator)
+    out = _run_report(args, descriptor, matrix, generator)
     _emit_json(out, args.out)
     if args.table is not None:
         _emit_text(_per_k_csv(out["per_k"]), args.table)
@@ -247,7 +243,7 @@ def cmd_compare(args) -> int:
     reports = []
     for length in lengths:
         prefix = matrix[:length]
-        _, out = _run_report(args, descriptor, prefix, generator)
+        out = _run_report(args, descriptor, prefix, generator)
         out["length"] = length
         reports.append(out)
     _emit_json(reports, args.out)
@@ -304,9 +300,9 @@ def _add_spec_flags(sub, required):
 
 def _add_select_flags(sub):
     sub.add_argument("--epsilon", default="auto", help="quantization step, a unit fraction like 1/60 or 'auto' for 1/(2m)")
-    sub.add_argument("--gram-mode", dest="gram_mode", choices=["full_gram", "per_row_sum"], default="full_gram")
+    sub.add_argument("--gram-mode", dest="gram_mode", choices=GRAM_MODES, default="full_gram")
     sub.add_argument("--both-gram-modes", dest="both_gram_modes", action="store_true", help="report both gram aggregations")
-    sub.add_argument("--kneedle-sensitivity", dest="kneedle_sensitivity", type=float, default=1.0)
+    sub.add_argument("--kneedle-sensitivity", dest="kneedle_sensitivity", type=_positive_float, default=1.0)
     sub.add_argument("--reproducible", action="store_true", help="suppress the timestamp for byte-identical output")
     sub.add_argument("--out", help="output path (default stdout)")
 

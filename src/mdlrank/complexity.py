@@ -65,6 +65,13 @@ class ComplexityTerms:
     def upper_total(self) -> float:
         return self.lower_total + self.delta_upper
 
+    @property
+    def gap_ratio(self):
+        """Relative bracket width (upper - lower) / |lower|; None where the
+        lower total is exactly zero, since the ratio is undefined there."""
+        lower = self.lower_total
+        return None if lower == 0.0 else (self.upper_total - lower) / abs(lower)
+
 
 @dataclass(frozen=True)
 class ComplexityReport:
@@ -222,7 +229,6 @@ def select_rank(
         raise DegenerateInputError("all-zero matrix has no signal to rank")
     if epsilon is None:
         epsilon = default_epsilon(m)
-    validate_epsilon(epsilon, m)
     if gram_mode not in GRAM_MODES:
         raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
     if spectrum is None:
@@ -248,18 +254,3 @@ def select_rank(
         k_bracket=bracket,
     )
 
-
-def bound_gap_ratio(report: ComplexityReport) -> list:
-    """Per-k relative gap (upper - lower) / |lower|.
-
-    Entries where the lower total is exactly zero are undefined and
-    reported as None rather than raising.
-    """
-    out = []
-    for t in report.per_k:
-        lower = t.lower_total
-        if lower == 0.0:
-            out.append((t.k, None))
-        else:
-            out.append((t.k, (t.upper_total - lower) / abs(lower)))
-    return out

@@ -3,6 +3,7 @@ and seeded synthetic generators with planted linear structure."""
 
 import csv
 import importlib.resources
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -43,9 +44,22 @@ class PriceTable:
 
 
 def returns_transform(table: PriceTable) -> np.ndarray:
-    """Percent change between consecutive rows: 100*(c[i+1] - c[i])/c[i]."""
+    """Percent change between consecutive rows: 100*(c[i+1] - c[i])/c[i].
+
+    A return beyond the float64 range (a tiny price followed by an ordinary
+    one) raises DomainError naming its data rows, counted from 1 without the
+    header, and its column.
+    """
     p = table.prices
-    return 100.0 * (p[1:] - p[:-1]) / p[:-1]
+    with np.errstate(over="ignore"):
+        returns = 100.0 * (p[1:] - p[:-1]) / p[:-1]
+    if not np.isfinite(returns).all():
+        i, j = np.argwhere(~np.isfinite(returns))[0]
+        raise DomainError(
+            f"the percent return from data row {i + 1} to {i + 2} in column "
+            f"{j + 1} ({table.column_names[j]!r}) is beyond the float64 range"
+        )
+    return returns
 
 
 @dataclass(frozen=True)
@@ -70,11 +84,17 @@ class SyntheticSpec:
             raise DomainError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.true_k <= self.m:
             raise DomainError(f"true_k={self.true_k} outside [1, m={self.m}]")
-        if self.noise_sigma < 0:
-            raise DomainError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.mix_low > self.mix_high:
             raise DomainError(
                 f"mix range is empty: [{self.mix_low}, {self.mix_high}]"
+            )
+        # a NaN or infinite bound also makes the width non-finite
+        if not math.isfinite(self.mix_high - self.mix_low):
+            raise DomainError(
+                f"mix range [{self.mix_low}, {self.mix_high}] needs finite bounds "
+                "and a width within the float64 range"
             )
 
 
@@ -95,12 +115,14 @@ def generate_lin(spec: SyntheticSpec, base: Optional[np.ndarray] = None) -> np.n
         sources = base
     else:
         sources = rng.standard_normal((spec.n, spec.true_k))
-    cols = [sources]
-    for _ in range(spec.m - spec.true_k):
+    # filled column by column in place, so the matrix is held only once
+    x = np.empty((spec.n, spec.m))
+    x[:, : spec.true_k] = sources
+    for j in range(spec.true_k, spec.m):
         coeffs = rng.uniform(spec.mix_low, spec.mix_high, size=spec.true_k)
         noise = rng.normal(0.0, spec.noise_sigma, size=spec.n)
-        cols.append((sources @ coeffs + noise)[:, None])
-    return np.hstack(cols)
+        x[:, j] = sources @ coeffs + noise
+    return x
 
 
 def generator_metadata(spec: SyntheticSpec, base_supplied: bool = False) -> dict:
@@ -121,15 +143,6 @@ def generator_metadata(spec: SyntheticSpec, base_supplied: bool = False) -> dict
         "seed": spec.seed,
         "source_columns": "user-supplied" if base_supplied else "seeded standard normal",
     }
-
-
-def center_columns(x) -> np.ndarray:
-    """Subtract each column's mean. Opt-in: the scoring model has no mean
-    term, so nothing in the selection pipeline centers by default."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise DomainError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a - a.mean(axis=0)
 
 
 def standardize_columns(x) -> np.ndarray:

@@ -94,8 +94,9 @@ class TestKneedle:
 
     def test_sensitivity_must_be_positive(self):
         curve = ScreeCurve(np.array([3.0, 2.0, 1.0]), normalized=False)
-        with pytest.raises(DomainError):
-            kneedle(curve, sensitivity=0.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                kneedle(curve, sensitivity=bad)
 
     def test_high_sensitivity_suppresses_shallow_bends(self):
         y = 1.0 / (np.arange(10) + 1.0)

@@ -407,6 +407,38 @@ class TestGenerate:
         assert status == 2 and "synthetic spec" in err
 
 
+class TestBadFlagValues:
+    """Flag values outside their domain are usage errors (exit 2), whatever
+    the input; generate then writes no file."""
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "x"])
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_kneedle_sensitivity(self, tmp_path, capsys, m, bad):
+        p = tmp_path / "g.csv"
+        x = np.random.default_rng(5).standard_normal((40, m))
+        p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in x) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--input", str(p), "--raw", "--no-header",
+                  f"--kneedle-sensitivity={bad}"])
+        assert exc.value.code == 2
+        assert "--kneedle-sensitivity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--noise", "nan"], ["--noise", "inf"], ["--mix-low", "nan"],
+         ["--mix-high", "inf"], ["--mix-low=-1e308", "--mix-high", "1e308"]],
+        ids=["noise-nan", "noise-inf", "mix-low-nan", "mix-high-inf", "mix-too-wide"],
+    )
+    def test_synthetic_spec(self, tmp_path, capsys, flags):
+        spec = ["--n", "10", "--m", "4", "--true-k", "2", *flags]
+        status, _, err = _run(["select", "--synthetic", "lin", *spec], capsys)
+        assert status == 2 and "synthetic spec" in err
+        out_csv = tmp_path / "lin.csv"
+        status, _, err = _run(["generate", "--kind", "lin", *spec, "--out", str(out_csv)], capsys)
+        assert status == 2 and "synthetic spec" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestErrorTaxonomy:
     def test_wide_matrix_is_numerical_error(self, tmp_path, capsys):
         p = tmp_path / "wide.csv"
@@ -425,3 +457,12 @@ class TestErrorTaxonomy:
         p.write_text("1,2\n-3,4\n5,6\n")
         status, _, _ = _run(["select", "--input", str(p), "--no-header"], capsys)
         assert status == 3
+
+    def test_return_beyond_float64_is_numerical_error(self, tmp_path, capsys):
+        p = tmp_path / "tiny.csv"
+        p.write_text("1e-320,1\n100,2\n5,6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, _, err = _run(["select", "--input", str(p), "--no-header"], capsys)
+        assert status == 4
+        assert "data row 1 to 2 in column 1" in err and "Warning" not in err

@@ -7,20 +7,17 @@ from hypothesis import given, settings, strategies as st
 from mdlrank import (
     DegenerateInputError,
     DomainError,
-    RegressionNmlInputs,
     Spectrum,
     SyntheticSpec,
-    bound_gap_ratio,
     default_epsilon,
     generate_lin,
-    regression_nml,
     score_table,
     select_rank,
     singular_spectrum,
     svd,
     tail_energy,
 )
-from mdlrank.complexity import ComplexityTerms, _argmin_by
+from mdlrank.complexity import ComplexityTerms, RegressionNmlInputs, _argmin_by, regression_nml
 from helpers import planted_rank_matrix
 
 # seeded once per example: deterministic, and no example database on disk
@@ -222,47 +219,39 @@ class TestArgminTieBreaking:
 
 class TestBoundGapRatio:
     @staticmethod
-    def _report_with(totals_and_deltas):
-        from mdlrank.complexity import ComplexityReport
-
-        per_k = tuple(
-            ComplexityTerms(
+    def _ratios(totals_and_deltas):
+        """(k, gap_ratio) of terms whose lower total is the given total."""
+        return [
+            (k, ComplexityTerms(
                 k=k,
                 tail_term=total,
                 gram_term=0.0,
                 ratio_term=0.0,
                 count_term=0.0,
                 delta_upper=delta,
-            )
+            ).gap_ratio)
             for k, (total, delta) in enumerate(totals_and_deltas, start=1)
-        )
-        return ComplexityReport(
-            n=4, m=len(per_k) + 1, epsilon=0.1, gram_mode="full_gram",
-            per_k=per_k, k_lower_opt=1, k_upper_opt=1, k_bracket=(1, 1),
-        )
+        ]
 
     def test_zero_delta_gives_zero_ratios(self):
-        rep = self._report_with([(10.0, 0.0), (20.0, 0.0)])
-        assert bound_gap_ratio(rep) == [(1, 0.0), (2, 0.0)]
+        assert self._ratios([(10.0, 0.0), (20.0, 0.0)]) == [(1, 0.0), (2, 0.0)]
 
     def test_worked_ratio(self):
-        rep = self._report_with([(100.0, 20 * math.log(4.0))])
-        (k, ratio), = bound_gap_ratio(rep)
+        (k, ratio), = self._ratios([(100.0, 20 * math.log(4.0))])
         assert k == 1
         assert ratio == pytest.approx(0.27726, abs=5e-6)
 
     def test_zero_lower_total_flagged_undefined(self):
-        rep = self._report_with([(0.0, 1.0), (5.0, 1.0)])
-        ratios = bound_gap_ratio(rep)
+        ratios = self._ratios([(0.0, 1.0), (5.0, 1.0)])
         assert ratios[0] == (1, None)
         assert ratios[1][1] == pytest.approx(0.2)
 
     def test_ratios_from_real_selection(self):
         rng = np.random.default_rng(77)
         rep = select_rank(rng.standard_normal((20, 5)))
-        for (k, ratio), t in zip(bound_gap_ratio(rep), rep.per_k):
-            assert ratio is not None
-            assert ratio == pytest.approx((t.upper_total - t.lower_total) / abs(t.lower_total))
+        for t in rep.per_k:
+            assert t.gap_ratio is not None
+            assert t.gap_ratio == (t.upper_total - t.lower_total) / abs(t.lower_total)
 
 
 def test_exact_rank_recovery_property():

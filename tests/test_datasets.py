@@ -7,14 +7,12 @@ import pytest
 from mdlrank import datasets
 from mdlrank import (
     DegenerateInputError,
-    center_columns,
     DomainError,
     ParseError,
     PriceTable,
     SyntheticSpec,
     frobenius_sq,
     generate_lin,
-    generator_metadata,
     load_csv,
     load_matrix_csv,
     returns_transform,
@@ -54,6 +52,14 @@ class TestReturnsTransform:
         for i in range(r.shape[0]):
             rebuilt[i + 1] = rebuilt[i] * (1.0 + r[i] / 100.0)
         np.testing.assert_allclose(rebuilt, prices, rtol=1e-9)
+
+    def test_return_beyond_float64_names_rows_and_column(self):
+        # 100 / 1e-320 overflows; the true return, 1e324 percent, is past float64
+        table = _table([[1e-320, 100.0, 5.0], [1.0, 2.0, 6.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"data row 1 to 2 in column 1 \('c0'\)"):
+                returns_transform(table)
 
     def test_nonpositive_prices_rejected_at_construction(self):
         with pytest.raises(DomainError):
@@ -108,10 +114,22 @@ class TestGenerateLin:
             SyntheticSpec(n=10, m=4, true_k=2, noise_sigma=-0.1)
         with pytest.raises(DomainError):
             SyntheticSpec(n=10, m=4, true_k=2, mix_low=1.0, mix_high=-1.0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"noise_sigma": nan},
+            {"noise_sigma": inf},
+            {"mix_low": nan},
+            {"mix_high": nan},
+            {"mix_low": -inf},
+            {"mix_high": inf},
+            {"mix_low": -1e308, "mix_high": 1e308},  # width overflows float64
+        ):
+            with pytest.raises(DomainError):
+                SyntheticSpec(n=10, m=4, true_k=2, **bad)
 
     def test_metadata_records_generator_identity(self):
         spec = SyntheticSpec(n=10, m=4, true_k=2, seed=9)
-        meta = generator_metadata(spec)
+        meta = datasets.generator_metadata(spec)
         assert meta["generator"] == "numpy.random.Generator(PCG64)"
         assert meta["numpy_version"] == np.__version__
         assert meta["seed"] == 9
@@ -301,16 +319,3 @@ class TestLoadMatrixCsv:
         with pytest.raises(DegenerateInputError):
             load_matrix_csv(p)
 
-
-class TestCenterColumns:
-    def test_columns_become_mean_zero(self):
-        rng = np.random.default_rng(63)
-        x = rng.normal(7.0, 2.0, (25, 3))
-        centered = center_columns(x)
-        np.testing.assert_allclose(centered.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(centered + x.mean(axis=0), x, atol=1e-12)
-
-    def test_scaling_untouched(self):
-        x = np.array([[1.0, 10.0], [3.0, 30.0]])
-        centered = center_columns(x)
-        np.testing.assert_allclose(centered, [[-1.0, -10.0], [1.0, 10.0]])

@@ -5,12 +5,12 @@ from mdlrank import (
     ConvergenceError,
     DomainError,
     frobenius_sq,
-    jacobi_svd,
     singular_spectrum,
     svd,
     tail_energy,
     truncate,
 )
+from mdlrank.linalg import jacobi_svd
 from helpers import singular_values_by_gram_eig
 
 

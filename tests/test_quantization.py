@@ -7,11 +7,13 @@ from mdlrank import (
     DiscreteModel,
     DomainError,
     inner_product_perturbation_bound,
-    maximized_likelihood_integral,
     quantize,
     quantized_unitary_log_count_bound,
-    validate_epsilon,
     verify_elimination_sandwich,
+)
+from mdlrank.quantization import (
+    maximized_likelihood_integral,
+    validate_epsilon,
     worst_case_inner_product_bound,
 )
 from helpers import gaussian_grid_model, random_discrete_model, random_orthonormal
