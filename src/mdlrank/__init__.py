@@ -8,7 +8,6 @@ as classical baselines.
 from .baselines import ScreeCurve, kaiser, kneedle, scree
 from .complexity import (
     ComplexityReport,
-    ComplexityTerms,
     default_epsilon,
     score_table,
     select_rank,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexityReport",
-    "ComplexityTerms",
     "ConvergenceError",
     "DegenerateInputError",
     "DiscreteModel",

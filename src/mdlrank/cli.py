@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import KNEE_MIN_POINTS, kaiser, kneedle, scree
-from .complexity import GRAM_MODES, default_epsilon, select_rank
+from .complexity import GRAM_MODES, ScoreTable, default_epsilon, select_rank
 from .datasets import (
     SyntheticSpec,
     generate_lin,
@@ -30,23 +30,9 @@ from .datasets import (
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
 from .linalg import singular_spectrum
+from .quantization import validate_epsilon
 
 SCHEMA_VERSION = 2
-
-# the per-k report row: JSON keys and --table CSV columns, in order; each
-# is an attribute of ComplexityTerms
-PER_K_COLUMNS = [
-    "k",
-    "tail_term",
-    "gram_term",
-    "ratio_term",
-    "count_term",
-    "delta_upper",
-    "lower_total",
-    "upper_total",
-    "gap_ratio",
-    "floored",
-]
 
 
 class UsageError(Exception):
@@ -54,18 +40,23 @@ class UsageError(Exception):
 
 
 def _resolve_epsilon(text: str, m: int) -> float:
-    """Exact-rational validation of --epsilon; "auto" means 1/(2m)."""
+    """Exact-rational parse of --epsilon, "auto" meaning 1/(2m); the value
+    must then pass validate_epsilon, the one owner of the epsilon rule."""
     if text == "auto":
-        return default_epsilon(m)
+        value = default_epsilon(m)
+    else:
+        try:
+            frac = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--epsilon {text!r} is not a rational number") from None
+        if frac.numerator != 1:
+            raise UsageError(f"--epsilon must be a positive unit fraction 1/q, got {text}")
+        value = float(frac)
     try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--epsilon {text!r} is not a rational number") from None
-    if frac <= 0 or frac.numerator != 1:
-        raise UsageError(f"--epsilon must be a positive unit fraction 1/q, got {text}")
-    if frac >= Fraction(1, m):
-        raise UsageError(f"--epsilon {text} must be < 1/m = 1/{m}")
-    return float(frac)
+        validate_epsilon(value, m)
+    except DomainError as exc:
+        raise UsageError(f"--epsilon {text}: {exc}") from None
+    return value
 
 
 def _positive_float(text: str) -> float:
@@ -148,7 +139,10 @@ def _selection_block(matrix, spectrum, epsilon, gram_mode):
     report = select_rank(matrix, epsilon=epsilon, gram_mode=gram_mode, spectrum=spectrum)
     return {
         "gram_mode": gram_mode,
-        "per_k": [{c: getattr(t, c) for c in PER_K_COLUMNS} for t in report.per_k],
+        "per_k": [
+            dict(zip(ScoreTable._fields, row))
+            for row in zip(*(column.tolist() for column in report.per_k))
+        ],
         "k_lower_opt": report.k_lower_opt,
         "k_upper_opt": report.k_upper_opt,
         "k_bracket": list(report.k_bracket),
@@ -197,11 +191,9 @@ def _emit_json(payload, path):
 def _per_k_csv(per_k):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PER_K_COLUMNS)
+    writer.writerow(ScoreTable._fields)
     for row in per_k:
-        writer.writerow(
-            ["" if row[c] is None else row[c] for c in PER_K_COLUMNS]
-        )
+        writer.writerow(["" if v is None else v for v in row.values()])
     return buf.getvalue()
 
 
@@ -234,12 +226,15 @@ def cmd_compare(args) -> int:
         raise UsageError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     if not lengths:
         raise UsageError("--lengths is empty")
-    total = matrix.shape[0]
+    total, width = matrix.shape
     for length in lengths:
         if length > total:
             raise UsageError(f"prefix length {length} exceeds the {total} available rows")
-        if length < 2:
-            raise UsageError(f"prefix length {length} is too short to analyze")
+        if length < max(2, width):
+            raise UsageError(
+                f"prefix length {length} is too short to analyze: a prefix of the "
+                f"{width}-column input needs at least {max(2, width)} rows"
+            )
     reports = []
     for length in lengths:
         prefix = matrix[:length]

@@ -22,6 +22,7 @@ underflows them.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,32 +46,24 @@ def default_epsilon(m: int) -> float:
     return 1.0 / (2 * m)
 
 
-@dataclass(frozen=True)
-class ComplexityTerms:
-    """Per-k score terms; totals follow the module formula."""
+class ScoreTable(NamedTuple):
+    """Score columns for the candidate ranks k = 1..m-1, ascending in k.
 
-    k: int
-    tail_term: float
-    gram_term: float
-    ratio_term: float
-    count_term: float
-    delta_upper: float
-    floored: bool = False
+    One array per per-k report column, in report order; totals follow the
+    module formula, and ``gap_ratio`` is the relative bracket width
+    (:func:`_gap_ratio`).
+    """
 
-    @property
-    def lower_total(self) -> float:
-        return self.tail_term + self.gram_term + self.ratio_term - self.count_term
-
-    @property
-    def upper_total(self) -> float:
-        return self.lower_total + self.delta_upper
-
-    @property
-    def gap_ratio(self):
-        """Relative bracket width (upper - lower) / |lower|; None where the
-        lower total is exactly zero, since the ratio is undefined there."""
-        lower = self.lower_total
-        return None if lower == 0.0 else (self.upper_total - lower) / abs(lower)
+    k: np.ndarray
+    tail_term: np.ndarray
+    gram_term: np.ndarray
+    ratio_term: np.ndarray
+    count_term: np.ndarray
+    delta_upper: np.ndarray
+    lower_total: np.ndarray
+    upper_total: np.ndarray
+    gap_ratio: np.ndarray
+    floored: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,11 +75,7 @@ class ComplexityReport:
     the two.
     """
 
-    n: int
-    m: int
-    epsilon: float
-    gram_mode: str
-    per_k: tuple
+    per_k: ScoreTable
     k_lower_opt: int
     k_upper_opt: int
     k_bracket: tuple
@@ -137,8 +126,8 @@ def regression_nml(inp: RegressionNmlInputs) -> float:
     )
 
 
-def score_table(spectrum: Spectrum, log_gram: float, epsilon: float) -> tuple:
-    """Score terms for every candidate rank k = 1..m-1, ascending in k.
+def score_table(spectrum: Spectrum, log_gram: float, epsilon: float) -> ScoreTable:
+    """Score columns for every candidate rank k = 1..m-1, ascending in k.
 
     ``log_gram`` is the natural log of the gram-energy argument of the
     nk*ln(...) term; callers choose it per gram mode. The residual energies
@@ -164,20 +153,27 @@ def score_table(spectrum: Spectrum, log_gram: float, epsilon: float) -> tuple:
     floored = log_tail < LOG_TAIL_FLOOR
     log_tail = np.where(floored, LOG_TAIL_FLOOR, log_tail)
 
-    ks = np.arange(1, m, dtype=np.float64)
-    nk = n * ks
-    columns = (
-        (n * m - nk) * log_tail,
-        nk * log_gram,
-        (m * n - nk - 1) * np.log((m * n) / (m * n - nk)),
-        (nk + 1) * np.log(nk),
-        m * ks * math.log(2.0 / (m * epsilon)),
-        floored,
+    k = np.arange(1, m)
+    nk = n * k
+    tail_term = (n * m - nk) * log_tail
+    gram_term = nk * log_gram
+    ratio_term = (m * n - nk - 1) * np.log((m * n) / (m * n - nk))
+    count_term = (nk + 1) * np.log(nk)
+    delta_upper = m * k * math.log(2.0 / (m * epsilon))
+    lower_total = tail_term + gram_term + ratio_term - count_term
+    upper_total = lower_total + delta_upper
+    return ScoreTable(
+        k, tail_term, gram_term, ratio_term, count_term, delta_upper,
+        lower_total, upper_total, _gap_ratio(lower_total, upper_total), floored,
     )
-    return tuple(
-        ComplexityTerms(k, *row)
-        for k, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)
-    )
+
+
+def _gap_ratio(lower_total: np.ndarray, upper_total: np.ndarray) -> np.ndarray:
+    """Relative bracket width (upper - lower) / |lower|, None where the
+    lower total is exactly zero, since the ratio is undefined there."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = (upper_total - lower_total) / np.abs(lower_total)
+    return np.where(lower_total == 0.0, None, gap)
 
 
 def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
@@ -199,12 +195,6 @@ def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
     return float(np.mean(np.maximum(log_rows, LOG_TAIL_FLOOR)))
 
 
-def _argmin_by(per_k, total_attr: str) -> int:
-    """k of the smallest total; equal totals break toward the smallest k,
-    independent of the order the terms are listed in."""
-    return min(per_k, key=lambda t: (getattr(t, total_attr), t.k)).k
-
-
 def select_rank(
     x, epsilon: float = None, gram_mode: str = "full_gram", spectrum: Spectrum = None
 ) -> ComplexityReport:
@@ -218,17 +208,6 @@ def select_rank(
     """
     a = as_matrix(x)
     n, m = a.shape
-    if n < 2 or m < 2:
-        raise DomainError(f"need at least a 2 x 2 matrix, got {n} x {m}")
-    if n < m:
-        raise DomainError(
-            f"select_rank expects rows >= cols, got {n} x {m}; transpose so "
-            "observations are rows"
-        )
-    if not np.any(a):
-        raise DegenerateInputError("all-zero matrix has no signal to rank")
-    if epsilon is None:
-        epsilon = default_epsilon(m)
     if gram_mode not in GRAM_MODES:
         raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
     if spectrum is None:
@@ -238,19 +217,18 @@ def select_rank(
             f"spectrum of a {spectrum.n} x {len(spectrum.singular_values)} matrix "
             f"does not match the {n} x {m} input"
         )
+    if not np.any(a):
+        raise DegenerateInputError("all-zero matrix has no signal to rank")
+    if epsilon is None:
+        epsilon = default_epsilon(m)
 
-    per_k = score_table(spectrum, _log_gram(a, spectrum, gram_mode), epsilon)
-    k_lower_opt = _argmin_by(per_k, "lower_total")
-    k_upper_opt = _argmin_by(per_k, "upper_total")
-    bracket = (min(k_lower_opt, k_upper_opt), max(k_lower_opt, k_upper_opt))
+    table = score_table(spectrum, _log_gram(a, spectrum, gram_mode), epsilon)
+    # np.argmin returns the first minimum, which is the smallest k
+    k_lower_opt = int(table.k[np.argmin(table.lower_total)])
+    k_upper_opt = int(table.k[np.argmin(table.upper_total)])
     return ComplexityReport(
-        n=n,
-        m=m,
-        epsilon=epsilon,
-        gram_mode=gram_mode,
-        per_k=per_k,
+        per_k=table,
         k_lower_opt=k_lower_opt,
         k_upper_opt=k_upper_opt,
-        k_bracket=bracket,
+        k_bracket=(min(k_lower_opt, k_upper_opt), max(k_lower_opt, k_upper_opt)),
     )
-

@@ -118,10 +118,17 @@ def generate_lin(spec: SyntheticSpec, base: Optional[np.ndarray] = None) -> np.n
     # filled column by column in place, so the matrix is held only once
     x = np.empty((spec.n, spec.m))
     x[:, : spec.true_k] = sources
-    for j in range(spec.true_k, spec.m):
-        coeffs = rng.uniform(spec.mix_low, spec.mix_high, size=spec.true_k)
-        noise = rng.normal(0.0, spec.noise_sigma, size=spec.n)
-        x[:, j] = sources @ coeffs + noise
+    # finite but huge mix bounds can carry a mixture past the float64 range
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(spec.true_k, spec.m):
+            coeffs = rng.uniform(spec.mix_low, spec.mix_high, size=spec.true_k)
+            noise = rng.normal(0.0, spec.noise_sigma, size=spec.n)
+            x[:, j] = sources @ coeffs + noise
+            if not np.isfinite(x[:, j]).all():
+                raise DomainError(
+                    f"mixed column {j + 1} leaves the float64 range with mix range "
+                    f"[{spec.mix_low}, {spec.mix_high}]"
+                )
     return x
 
 

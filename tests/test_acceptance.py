@@ -130,12 +130,12 @@ def test_criterion_3_score_arithmetic(announce):
         8 * mp.log(2) + 4 * mp.log(100) + 7 * mp.log(mpf(3) / 2) - 5 * mp.log(4)
     )
     x = Spectrum(n=4, singular_values=np.array([math.sqrt(98.0), 1.0, 1.0]))
-    t = score_table(x, log_gram=math.log(100.0), epsilon=1 / 6)[0]  # k = 1
-    gap_worked = abs(t.lower_total - worked)
+    table = score_table(x, log_gram=math.log(100.0), epsilon=1 / 6)
+    gap_worked = abs(float(table.lower_total[1 - 1]) - worked)  # k = 1
 
     y = Spectrum(n=20, singular_values=np.arange(10, 0, -1.0))
-    t2 = score_table(y, log_gram=0.0, epsilon=0.05)[1]  # k = 2
-    gap_delta = abs(t2.delta_upper - 20 * math.log(4.0))
+    table2 = score_table(y, log_gram=0.0, epsilon=0.05)
+    gap_delta = abs(float(table2.delta_upper[2 - 1]) - 20 * math.log(4.0))  # k = 2
 
     ok = gap_worked <= 1e-9 and gap_delta <= 1e-12
     assert announce(

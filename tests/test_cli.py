@@ -75,7 +75,9 @@ class TestSelect:
         assert status == 2 and "--input" in err
 
     def test_invalid_epsilon_is_usage_error(self, capsys):
-        for bad in ("0.3", "2/5", "banana"):
+        # 1e-400 rounds to 0.0; 1/999999999989 has no float with an integer
+        # reciprocal; both parse as exact unit fractions
+        for bad in ("0.3", "2/5", "banana", "1e-400", "1/999999999989"):
             status, _, err = _run(LIN10 + ["--epsilon", bad], capsys)
             assert status == 2, bad
             assert "epsilon" in err
@@ -130,6 +132,30 @@ class TestSelect:
         ]
         assert len(rows) == 30  # header + k = 1..29
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(1, 30)]
+
+    def test_per_k_rows_follow_the_score_formula_exactly(self, capsys):
+        """Every per-k row's derived columns equal, bit for bit, the module
+        formula applied to its other columns, and each argmin is the
+        smallest k attaining its minimum."""
+        status, out, _ = _run(
+            ["select", "--input", str(bundled_fixture_path()), "--both-gram-modes",
+             "--reproducible"],
+            capsys,
+        )
+        assert status == 0
+        report = json.loads(out)
+        for block in (report, report["alt"]):
+            rows = block["per_k"]
+            for row in rows:
+                lower, upper = row["lower_total"], row["upper_total"]
+                assert lower == (
+                    row["tail_term"] + row["gram_term"] + row["ratio_term"] - row["count_term"]
+                )
+                assert upper == lower + row["delta_upper"]
+                assert row["gap_ratio"] == (upper - lower) / abs(lower)
+            for total, key in (("lower_total", "k_lower_opt"), ("upper_total", "k_upper_opt")):
+                best = min(row[total] for row in rows)
+                assert block[key] == min(row["k"] for row in rows if row[total] == best)
 
     @requires_jsonschema
     def test_report_validates_against_shipped_schema(self, capsys):
@@ -355,9 +381,10 @@ class TestCompare:
 
     def test_bad_lengths_are_usage_errors(self, capsys):
         base = ["compare", "--synthetic", "lin", "--n", "50", "--m", "4", "--true-k", "2"]
-        for bad in ("abc", "", "0"):
-            status, _, _ = _run(base + ["--lengths", bad], capsys)
+        for bad in ("abc", "", "0", "3"):  # 3 rows < m = 4 columns
+            status, _, err = _run(base + ["--lengths", bad], capsys)
             assert status == 2, bad
+        assert "4-column" in err
 
 
 class TestGenerate:
@@ -436,6 +463,18 @@ class TestBadFlagValues:
         out_csv = tmp_path / "lin.csv"
         status, _, err = _run(["generate", "--kind", "lin", *spec, "--out", str(out_csv)], capsys)
         assert status == 2 and "synthetic spec" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mix_range_overflowing_a_column(self, tmp_path, capsys):
+        """Finite bounds whose mixtures leave float64 are a numerical error
+        (exit 4) with no numpy warning; generate then writes no file."""
+        spec = ["--n", "50", "--m", "6", "--true-k", "3", "--mix-low=-1e308", "--mix-high", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, _, err = _run(["select", "--synthetic", "lin", *spec], capsys)
+            assert status == 4 and "float64 range" in err
+            status, _, err = _run(["generate", *spec, "--out", str(tmp_path / "big.csv")], capsys)
+        assert status == 4 and "mixed column" in err and "Warning" not in err
         assert list(tmp_path.iterdir()) == []
 
 

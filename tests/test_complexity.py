@@ -17,7 +17,8 @@ from mdlrank import (
     svd,
     tail_energy,
 )
-from mdlrank.complexity import ComplexityTerms, RegressionNmlInputs, _argmin_by, regression_nml
+from mdlrank import complexity
+from mdlrank.complexity import RegressionNmlInputs, ScoreTable, _gap_ratio, regression_nml
 from helpers import planted_rank_matrix
 
 # seeded once per example: deterministic, and no example database on disk
@@ -55,15 +56,15 @@ class TestStochasticComplexityTerms:
     """The per-k stochastic-complexity terms, as tabulated by score_table."""
 
     def test_worked_example(self):
-        t = score_table(_spectrum(4, [math.sqrt(98.0), 1.0, 1.0]), math.log(100.0), epsilon=1 / 6)[0]
-        assert t.k == 1
-        assert t.lower_total == pytest.approx(WORKED_SCORE, abs=1e-9)
+        table = score_table(_spectrum(4, [math.sqrt(98.0), 1.0, 1.0]), math.log(100.0), epsilon=1 / 6)
+        assert table.k[0] == 1
+        assert table.lower_total[0] == pytest.approx(WORKED_SCORE, abs=1e-9)
 
     def test_delta_upper_closed_form(self):
-        per_k = score_table(_spectrum(20, list(range(10, 0, -1))), 0.0, epsilon=0.05)
-        assert per_k[1].k == 2
-        assert per_k[1].delta_upper == pytest.approx(20 * math.log(4.0), abs=1e-12)
-        assert all(t.upper_total >= t.lower_total for t in per_k)
+        table = score_table(_spectrum(20, list(range(10, 0, -1))), 0.0, epsilon=0.05)
+        assert table.k[1] == 2
+        assert table.delta_upper[1] == pytest.approx(20 * math.log(4.0), abs=1e-12)
+        assert np.all(table.upper_total >= table.lower_total)
 
     def test_matches_regression_kernel(self):
         """The table must agree with the scalar kernel: the k-score is the
@@ -75,18 +76,18 @@ class TestStochasticComplexityTerms:
             x = rng.standard_normal((n, m))
             s = svd(x)
             gram = float(np.sum((x.T @ x) ** 2))
-            per_k = score_table(singular_spectrum(x), math.log(gram), epsilon=default_epsilon(m))
-            assert [t.k for t in per_k] == list(range(1, m))
-            for t in per_k:
+            table = score_table(singular_spectrum(x), math.log(gram), epsilon=default_epsilon(m))
+            assert table.k.tolist() == list(range(1, m))
+            for k in range(1, m):
                 kernel = regression_nml(
                     RegressionNmlInputs(
                         n_obs=m * n,
-                        n_params=t.k * n,
-                        tau_hat=tail_energy(s, t.k),
+                        n_params=k * n,
+                        tau_hat=tail_energy(s, k),
                         fit_energy=gram,
                     )
                 )
-                assert t.lower_total == pytest.approx(kernel, rel=1e-12)
+                assert table.lower_total[k - 1] == pytest.approx(kernel, rel=1e-12)
 
     def test_k_out_of_range(self):
         """A single singular value leaves no candidate rank in [1, m-1]; a
@@ -106,17 +107,17 @@ class TestStochasticComplexityTerms:
             score_table(s, math.inf, epsilon=1 / 6)  # gram energy must be finite
 
     def test_tail_floor_marks_exactly_zero_tail(self):
-        per_k = score_table(_spectrum(20, [3.0, 2.0, 0.0, 0.0, 0.0]), math.log(10.0), epsilon=0.1)
-        assert [t.floored for t in per_k] == [False, True, True, True]
-        assert all(math.isfinite(t.lower_total) for t in per_k)
+        table = score_table(_spectrum(20, [3.0, 2.0, 0.0, 0.0, 0.0]), math.log(10.0), epsilon=0.1)
+        assert table.floored.tolist() == [False, True, True, True]
+        assert np.all(np.isfinite(table.lower_total))
 
     def test_tiny_nonzero_tail_not_floored(self):
         rng = np.random.default_rng(9)
         x = planted_rank_matrix(rng, 20, 5, 2)
-        t = score_table(singular_spectrum(x), math.log(10.0), epsilon=0.1)[3]
-        assert t.k == 4
-        assert not t.floored
-        assert math.isfinite(t.lower_total)
+        table = score_table(singular_spectrum(x), math.log(10.0), epsilon=0.1)
+        assert table.k[4 - 1] == 4
+        assert not table.floored[4 - 1]
+        assert math.isfinite(table.lower_total[4 - 1])
 
 
 class TestSelectRank:
@@ -133,7 +134,7 @@ class TestSelectRank:
         rng = np.random.default_rng(4)
         q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         rep = select_rank(np.vstack([q, q]) * 2.0)
-        assert len(rep.per_k) == 5
+        assert len(rep.per_k.k) == 5
         assert 1 <= rep.k_lower_opt <= 5 and 1 <= rep.k_upper_opt <= 5
 
     def test_planted_rank_regime_both_gram_args(self):
@@ -141,32 +142,35 @@ class TestSelectRank:
         rep = select_rank(x)
         assert rep.k_bracket[0] <= 10 <= rep.k_bracket[1]
         alt = select_rank(x, gram_mode="per_row_sum")
-        assert len(alt.per_k) == 29  # alternative aggregation also reports fully
+        assert len(alt.per_k.k) == 29  # alternative aggregation also reports fully
 
     def test_per_row_sum_gram_term_is_log_sum_of_row_energies(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((12, 4))
         rep = select_rank(x, gram_mode="per_row_sum")
         row_log_sum = float(np.sum(np.log(np.sum(x * x, axis=1))))
-        for t in rep.per_k:
-            assert t.gram_term == pytest.approx(t.k * row_log_sum, rel=1e-12)
+        for k, gram_term in zip(rep.per_k.k.tolist(), rep.per_k.gram_term.tolist()):
+            assert gram_term == pytest.approx(k * row_log_sum, rel=1e-12)
 
     def test_per_row_sum_survives_a_zero_row(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((12, 4))
         x[3] = 0.0
         rep = select_rank(x, gram_mode="per_row_sum")
-        assert all(math.isfinite(t.lower_total) for t in rep.per_k)
+        assert np.all(np.isfinite(rep.per_k.lower_total))
 
     def test_default_epsilon_is_half_reciprocal_width(self):
-        rng = np.random.default_rng(6)
-        rep = select_rank(rng.standard_normal((10, 4)))
-        assert rep.epsilon == pytest.approx(1 / 8, abs=0)
+        """The report carries no epsilon; the default shows in the slack
+        column, which is the only one epsilon enters."""
+        x = np.random.default_rng(6).standard_normal((10, 4))
+        slack = select_rank(x).per_k.delta_upper
+        assert np.array_equal(slack, select_rank(x, epsilon=1 / 8).per_k.delta_upper)
+        assert not np.array_equal(slack, select_rank(x, epsilon=1 / 16).per_k.delta_upper)
 
     def test_per_k_covers_range_ascending(self):
         rng = np.random.default_rng(23)
         rep = select_rank(rng.standard_normal((15, 6)))
-        assert [t.k for t in rep.per_k] == list(range(1, 6))
+        assert rep.per_k.k.tolist() == list(range(1, 6))
 
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -182,7 +186,8 @@ class TestSelectRank:
         rng = np.random.default_rng(24)
         x = rng.standard_normal((12, 4))
         shared = select_rank(x, spectrum=singular_spectrum(x))
-        assert shared.per_k == select_rank(x).per_k
+        own = select_rank(x).per_k
+        assert all(np.array_equal(a, b) for a, b in zip(shared.per_k, own))
         with pytest.raises(DomainError, match="does not match"):
             select_rank(x, spectrum=singular_spectrum(x[:-1]))
 
@@ -192,46 +197,27 @@ class TestSelectRank:
 
 
 class TestArgminTieBreaking:
-    @staticmethod
-    def _terms(k, total):
-        return ComplexityTerms(
-            k=k,
-            tail_term=total,
-            gram_term=0.0,
-            ratio_term=0.0,
-            count_term=0.0,
-            delta_upper=0.0,
-        )
-
-    def test_smallest_k_wins_ties(self):
-        per_k = [self._terms(k, total) for k, total in [(1, 5.0), (2, 3.0), (3, 3.0), (4, 9.0)]]
-        assert _argmin_by(per_k, "lower_total") == 2
-
-    def test_evaluation_order_does_not_matter(self):
-        rng = np.random.default_rng(31)
-        totals = [5.0, 3.0, 3.0, 9.0, 3.0]
-        per_k = [self._terms(k + 1, t) for k, t in enumerate(totals)]
-        for _ in range(20):
-            shuffled = list(per_k)
-            rng.shuffle(shuffled)
-            assert _argmin_by(shuffled, "lower_total") == 2
+    def test_smallest_k_wins_ties(self, monkeypatch):
+        """Equal totals select the smallest k that attains them."""
+        lower = np.array([5.0, 3.0, 3.0, 9.0, 3.0])
+        upper = np.array([4.0, 4.0, 1.0, 2.0, 1.0])
+        k = np.arange(1, 6)
+        zeros = np.zeros(5)
+        tied = ScoreTable(k, zeros, zeros, zeros, zeros, upper - lower, lower, upper,
+                          _gap_ratio(lower, upper), np.zeros(5, dtype=bool))
+        monkeypatch.setattr(complexity, "score_table", lambda *args: tied)
+        rep = select_rank(np.random.default_rng(31).standard_normal((12, 6)))
+        assert (rep.k_lower_opt, rep.k_upper_opt, rep.k_bracket) == (2, 3, (2, 3))
 
 
 class TestBoundGapRatio:
     @staticmethod
     def _ratios(totals_and_deltas):
-        """(k, gap_ratio) of terms whose lower total is the given total."""
-        return [
-            (k, ComplexityTerms(
-                k=k,
-                tail_term=total,
-                gram_term=0.0,
-                ratio_term=0.0,
-                count_term=0.0,
-                delta_upper=delta,
-            ).gap_ratio)
-            for k, (total, delta) in enumerate(totals_and_deltas, start=1)
-        ]
+        """(k, gap_ratio) of ranks whose lower total is the given total and
+        whose upper total exceeds it by the given slack."""
+        lower = np.array([total for total, _ in totals_and_deltas])
+        upper = lower + np.array([delta for _, delta in totals_and_deltas])
+        return list(enumerate(_gap_ratio(lower, upper).tolist(), start=1))
 
     def test_zero_delta_gives_zero_ratios(self):
         assert self._ratios([(10.0, 0.0), (20.0, 0.0)]) == [(1, 0.0), (2, 0.0)]
@@ -248,10 +234,11 @@ class TestBoundGapRatio:
 
     def test_ratios_from_real_selection(self):
         rng = np.random.default_rng(77)
-        rep = select_rank(rng.standard_normal((20, 5)))
-        for t in rep.per_k:
-            assert t.gap_ratio is not None
-            assert t.gap_ratio == (t.upper_total - t.lower_total) / abs(t.lower_total)
+        table = select_rank(rng.standard_normal((20, 5))).per_k
+        rows = zip(table.gap_ratio.tolist(), table.lower_total.tolist(), table.upper_total.tolist())
+        for gap, lower, upper in rows:
+            assert gap is not None
+            assert gap == (upper - lower) / abs(lower)
 
 
 def test_exact_rank_recovery_property():
@@ -274,7 +261,7 @@ def _gaussian(seed, n, m):
 
 
 def _totals(rep):
-    return np.array([[t.lower_total, t.upper_total] for t in rep.per_k])
+    return np.column_stack([rep.per_k.lower_total, rep.per_k.upper_total])
 
 
 @PROPERTY
@@ -290,15 +277,14 @@ def test_full_gram_scale_identity(seed, log10_c):
     n, m = 15, 5
     x = _gaussian(seed, n, m)
     c = 10.0**log10_c
-    base, scaled = select_rank(x), select_rank(x * c)
+    t0, t1 = select_rank(x).per_k, select_rank(x * c).per_k
     ln_c = math.log(c)
-    for t0, t1 in zip(base.per_k, scaled.per_k):
-        if t0.floored or t1.floored:
-            continue
-        shift = 2 * n * m * ln_c + 2 * n * t0.k * ln_c
-        magnitude = sum(abs(v) for v in (t0.tail_term, t0.gram_term, t1.tail_term, t1.gram_term))
-        assert abs((t1.lower_total - t0.lower_total) - shift) <= 1e-12 * magnitude + 1e-9
-        assert t1.delta_upper == t0.delta_upper
+    kept = ~(t0.floored | t1.floored)
+    shift = 2 * n * m * ln_c + 2 * n * t0.k * ln_c
+    magnitude = sum(np.abs(v) for v in (t0.tail_term, t0.gram_term, t1.tail_term, t1.gram_term))
+    error = np.abs((t1.lower_total - t0.lower_total) - shift)
+    assert np.all((error <= 1e-12 * magnitude + 1e-9)[kept])
+    assert np.array_equal(t1.delta_upper, t0.delta_upper)
 
 
 @PROPERTY
