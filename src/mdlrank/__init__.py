@@ -19,7 +19,6 @@ from .datasets import (
     load_csv,
     load_matrix_csv,
     returns_transform,
-    standardize_columns,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
 from .linalg import (
@@ -66,7 +65,6 @@ __all__ = [
     "scree",
     "select_rank",
     "singular_spectrum",
-    "standardize_columns",
     "svd",
     "tail_energy",
     "truncate",

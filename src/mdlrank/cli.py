@@ -14,10 +14,8 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .baselines import KNEE_MIN_POINTS, kaiser, kneedle, scree
+from .baselines import KNEE_MIN_POINTS, correlation_eigenvalues, kaiser, kneedle, scree
 from .complexity import GRAM_MODES, ScoreTable, default_epsilon, select_rank
 from .datasets import (
     SyntheticSpec,
@@ -26,7 +24,6 @@ from .datasets import (
     load_csv,
     load_matrix_csv,
     returns_transform,
-    standardize_columns,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
 from .linalg import singular_spectrum
@@ -116,12 +113,9 @@ def _baselines(matrix, spectrum, sensitivity):
     out = {"kaiser": None, "kneedle": None}
     skipped = {}
     try:
-        z = standardize_columns(matrix)
+        out["kaiser"] = kaiser(correlation_eigenvalues(matrix))
     except DegenerateInputError as exc:
         skipped["kaiser"] = str(exc)
-    else:
-        corr = z.T @ z / (z.shape[0] - 1)
-        out["kaiser"] = kaiser(np.linalg.eigvalsh(corr))
     curve = scree(spectrum, normalized=True)
     if curve.variances.size < KNEE_MIN_POINTS:
         skipped["kneedle"] = (
@@ -152,9 +146,8 @@ def _selection_block(matrix, spectrum, epsilon, gram_mode):
 def _run_report(args, descriptor, matrix, generator):
     n, m = matrix.shape
     epsilon = _resolve_epsilon(args.epsilon, m)
-    primary_mode = "full_gram" if args.both_gram_modes else args.gram_mode
     spectrum = singular_spectrum(matrix)
-    block = _selection_block(matrix, spectrum, epsilon, primary_mode)
+    block = _selection_block(matrix, spectrum, epsilon, args.gram_mode)
     out = {
         "schema_version": SCHEMA_VERSION,
         "tool": "mdlrank",
@@ -168,7 +161,8 @@ def _run_report(args, descriptor, matrix, generator):
     }
     out.update(block)
     if args.both_gram_modes:
-        out["alt"] = _selection_block(matrix, spectrum, epsilon, "per_row_sum")
+        (alt_mode,) = (mode for mode in GRAM_MODES if mode != args.gram_mode)
+        out["alt"] = _selection_block(matrix, spectrum, epsilon, alt_mode)
     if not args.reproducible:
         out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -179,9 +173,12 @@ def _run_report(args, descriptor, matrix, generator):
 def _emit_text(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_json(payload, path):

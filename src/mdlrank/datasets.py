@@ -1,5 +1,5 @@
-"""Data ingestion, the percent-returns transform, column standardization,
-and seeded synthetic generators with planted linear structure."""
+"""Data ingestion, the percent-returns transform and seeded synthetic
+generators with planted linear structure."""
 
 import csv
 import importlib.resources
@@ -11,11 +11,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ParseError
-from .linalg import binary_scaled
-
-# a sample standard deviation below this may come from squared deviations
-# that fell into the subnormal range
-STD_UNDERFLOW = 1e-150
 
 
 @dataclass(frozen=True)
@@ -82,6 +77,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.true_k <= self.m:
             raise DomainError(f"true_k={self.true_k} outside [1, m={self.m}]")
         if not 0 <= self.noise_sigma < math.inf:
@@ -150,34 +147,6 @@ def generator_metadata(spec: SyntheticSpec, base_supplied: bool = False) -> dict
         "seed": spec.seed,
         "source_columns": "user-supplied" if base_supplied else "seeded standard normal",
     }
-
-
-def standardize_columns(x) -> np.ndarray:
-    """Center each column and scale to unit sample standard deviation
-    (n-1 normalization). Raises on constant columns, naming the first.
-
-    When a standard deviation comes out non-finite or below STD_UNDERFLOW,
-    so that squares may have overflowed or underflowed at an extreme data
-    scale, it is taken again from the columns scaled by exact powers of
-    two; that leaves the result unchanged wherever the plain computation is
-    exact.
-    """
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise DomainError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 2:
-        raise DomainError("standardization needs at least 2 rows")
-    with np.errstate(over="ignore", under="ignore"):
-        std = a.std(axis=0, ddof=1)
-    if not np.all(np.isfinite(std) & (std >= STD_UNDERFLOW)):
-        a = binary_scaled(a, axis=0)[0]
-        std = a.std(axis=0, ddof=1)
-    flat = np.flatnonzero(std == 0.0)
-    if flat.size:
-        raise DegenerateInputError(
-            f"column {flat[0] + 1} is constant and cannot be standardized"
-        )
-    return (a - a.mean(axis=0)) / std
 
 
 def _read_fast(path, has_header):

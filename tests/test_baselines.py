@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdlrank import (
     DegenerateInputError,
@@ -10,7 +11,10 @@ from mdlrank import (
     scree,
     svd,
 )
+from mdlrank.baselines import correlation_eigenvalues
 from helpers import chord_knee_oracle
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestScree:
@@ -48,6 +52,50 @@ class TestKaiser:
     def test_subthreshold_components_never_change_the_count(self):
         base = [2.5, 1.7, 1.0]
         assert kaiser(base + [0.99, 0.4, 0.01]) == kaiser(base) == 3
+
+
+class TestCorrelationEigenvalues:
+    def test_matches_corrcoef_on_mixed_scales(self):
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((100, 5)) @ rng.standard_normal((5, 5))
+        x *= [1.0, 1e-6, 10.0, 1e5, 0.1]
+        expected = np.linalg.eigvalsh(np.corrcoef(x, rowvar=False))
+        got = correlation_eigenvalues(x)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert got.sum() == pytest.approx(5.0, abs=1e-12)
+
+    def test_constant_column_named(self):
+        x = np.ones((5, 3))
+        x[:, 0] = np.arange(5)
+        x[:, 2] = np.arange(5) ** 2
+        with pytest.raises(DegenerateInputError, match="column 2"):
+            correlation_eigenvalues(x)
+
+    def test_column_of_one_inexact_value_is_constant(self):
+        # 0.7 has no exact binary form, so the computed standard deviation
+        # of this column is rounding noise rather than zero
+        x = np.random.default_rng(63).standard_normal((500, 8))
+        x[:, 3] = 0.7
+        with pytest.raises(DegenerateInputError, match="column 4 is constant"):
+            correlation_eigenvalues(x)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        column=st.integers(0, 4),
+        exponent=st.integers(-900, 900),
+        data=st.data(),
+    )
+    def test_scaling_and_row_order(self, seed, column, exponent, data):
+        """Multiplying a column by 2**k leaves the eigenvalues bit-identical;
+        reordering the rows leaves them equal up to rounding."""
+        x = np.random.default_rng(seed).standard_normal((20, 5))
+        base = correlation_eigenvalues(x)
+        scaled = x.copy()
+        scaled[:, column] = np.ldexp(scaled[:, column], exponent)
+        assert np.array_equal(correlation_eigenvalues(scaled), base)
+        rows = np.array(data.draw(st.permutations(range(20)), label="rows"))
+        np.testing.assert_allclose(correlation_eigenvalues(x[rows]), base, rtol=0, atol=1e-12)
 
 
 class TestKneedle:

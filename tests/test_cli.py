@@ -107,6 +107,16 @@ class TestSelect:
         assert report["alt"]["gram_mode"] == "per_row_sum"
         assert len(report["alt"]["per_k"]) == len(report["per_k"]) == 29
 
+    def test_gram_mode_picks_the_top_block_with_both_modes(self, capsys):
+        base = ["select", "--input", str(bundled_fixture_path()), "--reproducible",
+                "--gram-mode", "per_row_sum"]
+        _, single, _ = _run(base, capsys)
+        _, both, _ = _run(base + ["--both-gram-modes"], capsys)
+        report = json.loads(both)
+        alt = report.pop("alt")
+        assert report == json.loads(single)
+        assert alt["gram_mode"] == "full_gram"
+
     def test_reproducible_runs_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(LIN10 + ["--out", str(a)]) == 0
@@ -227,6 +237,21 @@ class TestExtremeScales:
         assert "column 4 is constant" in report["baselines"]["skipped"]["kaiser"]
         assert 1 <= report["k_lower_opt"] <= 5
         jsonschema.validate(report, _schema())
+
+    def test_raw_column_of_one_value_skips_kaiser(self, tmp_path, capsys):
+        # 0.1 has no exact binary form: the computed standard deviation of
+        # this column is rounding noise, yet the column is constant
+        x = np.random.default_rng(0).standard_normal((500, 8))
+        x[:, 5] = 0.1
+        p = tmp_path / "flat.csv"
+        p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in x) + "\n")
+        status, out, err = _run(
+            ["select", "--input", str(p), "--raw", "--no-header", "--reproducible"], capsys
+        )
+        assert status == 0 and err == ""
+        report = json.loads(out)
+        assert report["baselines"]["kaiser"] is None
+        assert "column 6 is constant" in report["baselines"]["skipped"]["kaiser"]
 
 
 class TestTwoColumns:
@@ -453,8 +478,10 @@ class TestBadFlagValues:
     @pytest.mark.parametrize(
         "flags",
         [["--noise", "nan"], ["--noise", "inf"], ["--mix-low", "nan"],
-         ["--mix-high", "inf"], ["--mix-low=-1e308", "--mix-high", "1e308"]],
-        ids=["noise-nan", "noise-inf", "mix-low-nan", "mix-high-inf", "mix-too-wide"],
+         ["--mix-high", "inf"], ["--mix-low=-1e308", "--mix-high", "1e308"],
+         ["--seed", "-1"]],
+        ids=["noise-nan", "noise-inf", "mix-low-nan", "mix-high-inf", "mix-too-wide",
+             "seed-negative"],
     )
     def test_synthetic_spec(self, tmp_path, capsys, flags):
         spec = ["--n", "10", "--m", "4", "--true-k", "2", *flags]
@@ -476,6 +503,28 @@ class TestBadFlagValues:
             status, _, err = _run(["generate", *spec, "--out", str(tmp_path / "big.csv")], capsys)
         assert status == 4 and "mixed column" in err and "Warning" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error (exit 2)
+    with its reason, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--input", "{fixture}", "--out", "{bad}"],
+            ["select", "--input", "{fixture}", "--table", "{bad}"],
+            ["scree", "--input", "{fixture}", "--out", "{bad}"],
+            ["compare", "--input", "{fixture}", "--lengths", "100", "--out", "{bad}"],
+            ["generate", "--n", "10", "--m", "4", "--true-k", "2", "--out", "{bad}"],
+        ],
+        ids=["select-out", "select-table", "scree-out", "compare-out", "generate-out"],
+    )
+    def test_missing_directory(self, tmp_path, capsys, argv):
+        paths = {"fixture": str(bundled_fixture_path()), "bad": str(tmp_path / "missing" / "x")}
+        status, _, err = _run([arg.format(**paths) for arg in argv], capsys)
+        assert status == 2
+        assert "cannot write" in err and "Traceback" not in err
 
 
 class TestErrorTaxonomy:

@@ -16,7 +16,6 @@ from mdlrank import (
     load_csv,
     load_matrix_csv,
     returns_transform,
-    standardize_columns,
     svd,
     tail_energy,
 )
@@ -134,32 +133,6 @@ class TestGenerateLin:
         assert meta["numpy_version"] == np.__version__
         assert meta["seed"] == 9
         assert "standard deviation" in meta["noise_note"]
-
-
-class TestStandardizeColumns:
-    def test_small_example(self):
-        z = standardize_columns(np.array([[1.0], [2.0], [3.0]]))
-        np.testing.assert_allclose(z[:, 0], [-1.0, 0.0, 1.0])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(61)
-        x = rng.normal(5.0, 3.0, (30, 4))
-        once = standardize_columns(x)
-        twice = standardize_columns(once)
-        np.testing.assert_allclose(twice, once, atol=1e-12)
-
-    def test_correlation_diagonal_is_unit(self):
-        rng = np.random.default_rng(62)
-        z = standardize_columns(rng.standard_normal((100, 5)) * [1, 10, 0.1, 3, 7])
-        corr = z.T @ z / (z.shape[0] - 1)
-        np.testing.assert_allclose(np.diag(corr), 1.0, atol=1e-9)
-
-    def test_constant_column_named(self):
-        x = np.ones((5, 3))
-        x[:, 0] = np.arange(5)
-        x[:, 2] = np.arange(5) ** 2
-        with pytest.raises(DegenerateInputError, match="column 2"):
-            standardize_columns(x)
 
 
 class TestLoadCsv:

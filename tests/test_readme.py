@@ -1,12 +1,15 @@
-"""README stays in step with the package: the names it lists as the
-package root's exports are exactly ``mdlrank.__all__``."""
+"""README and pyproject stay in step with the package: the names README
+lists as the package root's exports are exactly ``mdlrank.__all__``, and
+the version and schema version it states are the ones the code reports."""
 
 import re
 from pathlib import Path
 
 import mdlrank
+from mdlrank.cli import SCHEMA_VERSION
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_lists_exactly_the_root_exports():
@@ -14,3 +17,15 @@ def test_readme_lists_exactly_the_root_exports():
     start = text.index("The package root exports")
     listed = set(re.findall(r"`(\w+)`", text[start:text.index("Other helpers", start)]))
     assert listed == set(mdlrank.__all__)
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, since tomllib is not in every supported Python
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == mdlrank.__version__
+
+
+def test_readme_schema_version_is_the_reports():
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"schema_version (\d+)", text) == [str(SCHEMA_VERSION)]
