@@ -5,7 +5,7 @@ and selects by minimization, alongside the Kaiser rule and knee detection
 as classical baselines.
 """
 
-from .baselines import ScreeCurve, kaiser, kneedle, scree
+from .baselines import kaiser, kneedle, scree
 from .complexity import (
     ComplexityReport,
     default_epsilon,
@@ -47,7 +47,6 @@ __all__ = [
     "DomainError",
     "ParseError",
     "PriceTable",
-    "ScreeCurve",
     "Spectrum",
     "SyntheticSpec",
     "default_epsilon",

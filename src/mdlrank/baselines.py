@@ -1,7 +1,6 @@
 """Classical component-count selectors: the Kaiser rule on the column
 correlation eigenvalues and knee detection on scree curves."""
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -13,17 +12,9 @@ from .linalg import Spectrum, as_matrix, binary_scaled
 KNEE_MIN_POINTS = 3
 
 
-@dataclass(frozen=True)
-class ScreeCurve:
-    """Per-component explained variance, nonincreasing; optionally scaled
-    to sum to one."""
-
-    variances: np.ndarray
-    normalized: bool
-
-
-def scree(s: Spectrum, normalized: bool = False) -> ScreeCurve:
-    """Explained-variance curve: squared singular values, in order.
+def scree(s: Spectrum, normalized: bool = False) -> np.ndarray:
+    """Explained-variance curve: squared singular values, in order, scaled
+    to sum to one when *normalized*.
 
     *s* is a :class:`~mdlrank.linalg.Spectrum` or an SVD result; only its
     ``singular_values`` are read. The normalized curve is formed from the
@@ -40,14 +31,14 @@ def scree(s: Spectrum, normalized: bool = False) -> ScreeCurve:
                 "squared singular values overflow or underflow at this data "
                 "scale; pass --normalized for the curve scaled to sum to 1"
             )
-        return ScreeCurve(variances=variances, normalized=False)
+        return variances
     variances = binary_scaled(values)[0] ** 2
     total = variances.sum()
     if total == 0.0:
         raise DegenerateInputError(
             "cannot normalize a scree curve with zero total variance"
         )
-    return ScreeCurve(variances=variances / total, normalized=True)
+    return variances / total
 
 
 def correlation_eigenvalues(x) -> np.ndarray:
@@ -78,9 +69,9 @@ def kaiser(eigenvalues_of_correlation) -> int:
     return int(np.sum(eig >= 1.0))
 
 
-def kneedle(curve: ScreeCurve, sensitivity: float = 1.0) -> Optional[int]:
-    """Knee of a decreasing curve, or None when no bend clears the
-    sensitivity threshold.
+def kneedle(variances, sensitivity: float = 1.0) -> Optional[int]:
+    """Knee of a decreasing curve of *variances*, or None when no bend
+    clears the sensitivity threshold.
 
     Procedure: min-max normalize both axes; for a decreasing curve the
     difference curve is the gap below the normalized endpoint chord,
@@ -90,13 +81,17 @@ def kneedle(curve: ScreeCurve, sensitivity: float = 1.0) -> Optional[int]:
     a sharp spectral drop is the retained-component count.
 
     Identical output for any positive affine transform of the y axis.
+    A curve of fewer than KNEE_MIN_POINTS points has no knee to find and
+    raises DegenerateInputError.
     """
     if not sensitivity > 0:
         raise DomainError(f"sensitivity must be positive, got {sensitivity}")
-    y = np.asarray(curve.variances, dtype=np.float64)
+    y = np.asarray(variances, dtype=np.float64)
     n = len(y)
     if n < KNEE_MIN_POINTS:
-        raise DomainError(f"knee detection needs at least {KNEE_MIN_POINTS} points, got {n}")
+        raise DegenerateInputError(
+            f"knee detection needs at least {KNEE_MIN_POINTS} scree points, got {n}"
+        )
     y_span = y.max() - y.min()
     if y_span == 0.0:
         return None

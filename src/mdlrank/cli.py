@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .baselines import KNEE_MIN_POINTS, correlation_eigenvalues, kaiser, kneedle, scree
+from .baselines import correlation_eigenvalues, kaiser, kneedle, scree
 from .complexity import GRAM_MODES, ScoreTable, default_epsilon, select_rank
 from .datasets import (
     SyntheticSpec,
@@ -86,12 +86,26 @@ def _spec_from_flags(args) -> SyntheticSpec:
         raise UsageError(f"invalid synthetic spec: {exc}") from exc
 
 
+def _synthetic(args):
+    """The synthetic spec of the flags and its matrix. A shape too large
+    for numpy to allocate is a usage error naming it, not a crash."""
+    spec = _spec_from_flags(args)
+    try:
+        return spec, generate_lin(spec)
+    except DomainError:
+        raise  # a mixture beyond the float64 range is a numerical error
+    except (MemoryError, ValueError):
+        raise UsageError(
+            f"a {spec.n} x {spec.m} synthetic matrix is too large to allocate"
+        ) from None
+
+
 def _load_input(args):
     """Resolve --input/--synthetic into (descriptor, matrix, generator)."""
     if args.synthetic is not None:
-        spec = _spec_from_flags(args)
+        spec, matrix = _synthetic(args)
         meta = generator_metadata(spec)
-        return {"kind": "synthetic", "synthetic": meta}, generate_lin(spec), meta
+        return {"kind": "synthetic", "synthetic": meta}, matrix, meta
     if args.input is None:
         raise UsageError("provide --input PATH or --synthetic lin")
     descriptor = {"kind": "csv", "path": args.input, "raw": bool(args.raw)}
@@ -106,24 +120,22 @@ def _baselines(matrix, spectrum, sensitivity):
     """Kaiser count on correlation eigenvalues plus knee of the scree.
 
     A baseline that cannot use the input (Kaiser on a constant column, the
-    knee on a scree of fewer than KNEE_MIN_POINTS points) is reported as
-    null with the reason under ``skipped``, and the run goes on, since the
-    selection does not depend on it.
+    knee on a scree too short to bend) raises DegenerateInputError; it is
+    reported as null with the reason under ``skipped``, and the run goes
+    on, since the selection does not depend on it.
     """
-    out = {"kaiser": None, "kneedle": None}
+    rules = {
+        "kaiser": lambda: kaiser(correlation_eigenvalues(matrix)),
+        "kneedle": lambda: kneedle(scree(spectrum, normalized=True), sensitivity),
+    }
+    out = {}
     skipped = {}
-    try:
-        out["kaiser"] = kaiser(correlation_eigenvalues(matrix))
-    except DegenerateInputError as exc:
-        skipped["kaiser"] = str(exc)
-    curve = scree(spectrum, normalized=True)
-    if curve.variances.size < KNEE_MIN_POINTS:
-        skipped["kneedle"] = (
-            f"knee detection needs at least {KNEE_MIN_POINTS} scree points, "
-            f"got {curve.variances.size}"
-        )
-    else:
-        out["kneedle"] = kneedle(curve, sensitivity)
+    for name, rule in rules.items():
+        try:
+            out[name] = rule()
+        except DegenerateInputError as exc:
+            out[name] = None
+            skipped[name] = str(exc)
     if skipped:
         out["skipped"] = skipped
     return out
@@ -185,12 +197,13 @@ def _emit_json(payload, path):
     _emit_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
-def _per_k_csv(per_k):
+def _csv_text(header, rows):
+    """CSV text of a header row and data rows; csv writes None as an empty
+    cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ScoreTable._fields)
-    for row in per_k:
-        writer.writerow(["" if v is None else v for v in row.values()])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -199,19 +212,16 @@ def cmd_select(args) -> int:
     out = _run_report(args, descriptor, matrix, generator)
     _emit_json(out, args.out)
     if args.table is not None:
-        _emit_text(_per_k_csv(out["per_k"]), args.table)
+        rows = (row.values() for row in out["per_k"])
+        _emit_text(_csv_text(ScoreTable._fields, rows), args.table)
     return 0
 
 
 def cmd_scree(args) -> int:
     _, matrix, _ = _load_input(args)
-    curve = scree(singular_spectrum(matrix), normalized=args.normalized)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["component", "variance"])
-    for i, v in enumerate(curve.variances, start=1):
-        writer.writerow([i, float(v)])
-    _emit_text(buf.getvalue(), args.out)
+    variances = scree(singular_spectrum(matrix), normalized=args.normalized)
+    rows = enumerate(variances.tolist(), start=1)
+    _emit_text(_csv_text(["component", "variance"], rows), args.out)
     return 0
 
 
@@ -243,14 +253,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = _spec_from_flags(args)
-    matrix = generate_lin(spec)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"col_{j + 1}" for j in range(spec.m)])
-    for row in matrix:
-        writer.writerow([repr(float(v)) for v in row])
-    _emit_text(buf.getvalue(), args.out)
+    spec, matrix = _synthetic(args)
+    rows = (row.tolist() for row in matrix)
+    _emit_text(_csv_text([f"col_{j + 1}" for j in range(spec.m)], rows), args.out)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "tool": "mdlrank",

@@ -81,46 +81,28 @@ class ComplexityReport:
     k_bracket: tuple
 
 
-@dataclass(frozen=True)
-class RegressionNmlInputs:
-    """Arguments of the regression code-length kernel.
+def regression_nml(n_obs: int, n_params: int, tau_hat: float, fit_energy: float) -> float:
+    """Closed-form regression code length (natural log), four terms.
 
     n_obs/n_params are the total observation and parameter counts of the
     vectorized regression; tau_hat is the ML residual variance estimate and
     fit_energy the squared norm of the fitted response.
-    """
-
-    n_obs: int
-    n_params: int
-    tau_hat: float
-    fit_energy: float
-
-    def __post_init__(self):
-        if self.n_params < 1:
-            raise DomainError(f"n_params must be >= 1, got {self.n_params}")
-        if self.n_params >= self.n_obs:
-            raise DomainError(
-                f"n_params={self.n_params} must be < n_obs={self.n_obs}"
-            )
-        if not self.tau_hat > 0:
-            raise DomainError(f"tau_hat must be positive, got {self.tau_hat}")
-        if not self.fit_energy > 0:
-            raise DomainError(
-                f"fit_energy must be positive, got {self.fit_energy}"
-            )
-
-
-def regression_nml(inp: RegressionNmlInputs) -> float:
-    """Closed-form regression code length (natural log), four terms.
 
     The scalar reference for :func:`score_table`: the rank-k lower total is
     this kernel at n_obs=mn, n_params=kn, tau_hat = the residual energy
     beyond rank k and fit_energy = the gram energy.
     """
-    n_obs, n_params = inp.n_obs, inp.n_params
+    if n_params < 1:
+        raise DomainError(f"n_params must be >= 1, got {n_params}")
+    if n_params >= n_obs:
+        raise DomainError(f"n_params={n_params} must be < n_obs={n_obs}")
+    if not tau_hat > 0:
+        raise DomainError(f"tau_hat must be positive, got {tau_hat}")
+    if not fit_energy > 0:
+        raise DomainError(f"fit_energy must be positive, got {fit_energy}")
     return (
-        (n_obs - n_params) * math.log(inp.tau_hat)
-        + n_params * math.log(inp.fit_energy)
+        (n_obs - n_params) * math.log(tau_hat)
+        + n_params * math.log(fit_energy)
         + (n_obs - n_params - 1) * math.log(n_obs / (n_obs - n_params))
         - (n_params + 1) * math.log(n_params)
     )

@@ -6,7 +6,6 @@ import importlib.resources
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -95,23 +94,14 @@ class SyntheticSpec:
             )
 
 
-def generate_lin(spec: SyntheticSpec, base: Optional[np.ndarray] = None) -> np.ndarray:
+def generate_lin(spec: SyntheticSpec) -> np.ndarray:
     """Generate the planted-rank matrix described by *spec*.
 
-    With ``base`` given, it supplies the source columns (n x true_k);
-    otherwise sources are i.i.d. standard normal from the seeded generator.
-    The same spec always produces the bit-identical matrix.
+    The sources are i.i.d. standard normal from the seeded generator. The
+    same spec always produces the bit-identical matrix.
     """
     rng = np.random.default_rng(spec.seed)
-    if base is not None:
-        base = np.asarray(base, dtype=np.float64)
-        if base.shape != (spec.n, spec.true_k):
-            raise DomainError(
-                f"base must be {spec.n} x {spec.true_k}, got {base.shape}"
-            )
-        sources = base
-    else:
-        sources = rng.standard_normal((spec.n, spec.true_k))
+    sources = rng.standard_normal((spec.n, spec.true_k))
     # filled column by column in place, so the matrix is held only once
     x = np.empty((spec.n, spec.m))
     x[:, : spec.true_k] = sources
@@ -129,7 +119,7 @@ def generate_lin(spec: SyntheticSpec, base: Optional[np.ndarray] = None) -> np.n
     return x
 
 
-def generator_metadata(spec: SyntheticSpec, base_supplied: bool = False) -> dict:
+def generator_metadata(spec: SyntheticSpec) -> dict:
     """Reproducibility metadata embedded in reports and sidecar files."""
     return {
         "generator": "numpy.random.Generator(PCG64)",
@@ -145,7 +135,7 @@ def generator_metadata(spec: SyntheticSpec, base_supplied: bool = False) -> dict
         "mix_low": spec.mix_low,
         "mix_high": spec.mix_high,
         "seed": spec.seed,
-        "source_columns": "user-supplied" if base_supplied else "seeded standard normal",
+        "source_columns": "seeded standard normal",
     }
 
 

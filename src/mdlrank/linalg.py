@@ -98,9 +98,8 @@ def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
     :class:`ConvergenceError` if that takes more than *max_sweeps* sweeps.
     """
     a = as_matrix(x).copy()
+    _require_tall(a, "jacobi_svd")
     n, m = a.shape
-    if n < m:
-        raise DomainError(f"jacobi_svd expects rows >= cols, got {n} x {m}")
     v = np.eye(m)
     scale = np.linalg.norm(a)
     tol = 1e-15 * max(scale, 1.0) ** 2

@@ -21,13 +21,18 @@ from .errors import DomainError
 ENTRY_SLACK = 1e-12
 
 
-def validate_epsilon(epsilon: float, m: int) -> None:
-    """Require 0 < epsilon < 1/m with 1/epsilon an integer (to 1e-9)."""
+def _validate_step(epsilon: float) -> None:
+    """Require epsilon > 0 with 1/epsilon an integer (to 1e-9)."""
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     recip = 1.0 / epsilon
     if abs(recip - round(recip)) > 1e-9:
         raise DomainError(f"1/epsilon must be an integer, got 1/{epsilon} = {recip}")
+
+
+def validate_epsilon(epsilon: float, m: int) -> None:
+    """Require 0 < epsilon < 1/m with 1/epsilon an integer (to 1e-9)."""
+    _validate_step(epsilon)
     if m < 1:
         raise DomainError(f"m must be positive, got {m}")
     if not epsilon < 1.0 / m:
@@ -107,11 +112,7 @@ def quantized_unitary_log_count_bound(m: int, k: int, epsilon: float) -> float:
         raise DomainError(f"k must be >= 1, got {k}")
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    recip = 1.0 / epsilon
-    if abs(recip - round(recip)) > 1e-9:
-        raise DomainError(f"1/epsilon must be an integer, got {recip}")
+    _validate_step(epsilon)
     if epsilon >= 1.0 / m:
         warnings.warn(
             f"epsilon={epsilon} >= 1/m={1.0 / m}: outside the small-step "
@@ -155,6 +156,21 @@ def _checked(val, x, a, b) -> float:
     return v
 
 
+def _cell_integral(model: DiscreteModel, b_choices, pick_b) -> float:
+    """Grid sum over cells of the a-maximized likelihood at the b that
+    *pick_b* (``max`` or ``min``) selects from *b_choices* per cell."""
+    if not model.x_points:
+        raise DomainError("empty outcome grid")
+    cells = []
+    for x, w in zip(model.x_points, model.weights):
+        per_b = [
+            max(_checked(model.likelihood(x, a, bb), x, a, bb) for a in model.a_family)
+            for bb in b_choices
+        ]
+        cells.append(w * pick_b(per_b))
+    return math.fsum(cells)
+
+
 def maximized_likelihood_integral(model: DiscreteModel, b=None) -> float:
     """Exact grid sum of the cell-maximized likelihood.
 
@@ -163,33 +179,7 @@ def maximized_likelihood_integral(model: DiscreteModel, b=None) -> float:
     Accumulation uses exact summation, so the result is independent of grid
     order.
     """
-    if not model.x_points:
-        raise DomainError("empty outcome grid")
-    b_choices = model.b_family if b is None else (b,)
-    cells = []
-    for x, w in zip(model.x_points, model.weights):
-        best = max(
-            _checked(model.likelihood(x, a, bb), x, a, bb)
-            for a in model.a_family
-            for bb in b_choices
-        )
-        cells.append(w * best)
-    return math.fsum(cells)
-
-
-def _minimax_likelihood_integral(model: DiscreteModel) -> float:
-    """Grid sum with the minimizing b-selector: per cell, the a-maximized
-    likelihood is taken at the b that makes it smallest."""
-    if not model.x_points:
-        raise DomainError("empty outcome grid")
-    cells = []
-    for x, w in zip(model.x_points, model.weights):
-        per_b = [
-            max(_checked(model.likelihood(x, a, bb), x, a, bb) for a in model.a_family)
-            for bb in model.b_family
-        ]
-        cells.append(w * min(per_b))
-    return math.fsum(cells)
+    return _cell_integral(model, model.b_family if b is None else (b,), max)
 
 
 @dataclass(frozen=True)
@@ -218,7 +208,7 @@ def verify_elimination_sandwich(
     if b_convention == "max":
         joint = maximized_likelihood_integral(model)
     elif b_convention == "min":
-        joint = _minimax_likelihood_integral(model)
+        joint = _cell_integral(model, model.b_family, min)
     else:
         raise DomainError(f"b_convention must be 'max' or 'min', got {b_convention!r}")
     fixed = [maximized_likelihood_integral(model, b=b) for b in model.b_family]

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from mdlrank import (
     DegenerateInputError,
     DomainError,
-    ScreeCurve,
     kaiser,
     kneedle,
     scree,
@@ -19,18 +18,17 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 class TestScree:
     def test_unnormalized_squares_singular_values(self):
-        curve = scree(svd(np.diag([3.0, 2.0, 1.0])))
-        np.testing.assert_allclose(curve.variances, [9.0, 4.0, 1.0])
-        assert not curve.normalized
+        variances = scree(svd(np.diag([3.0, 2.0, 1.0])))
+        np.testing.assert_allclose(variances, [9.0, 4.0, 1.0])
 
     def test_normalized_sums_to_one(self):
-        curve = scree(svd(np.diag([3.0, 2.0, 1.0])), normalized=True)
-        np.testing.assert_allclose(curve.variances, [9 / 14, 4 / 14, 1 / 14])
-        assert abs(curve.variances.sum() - 1.0) <= 1e-9
+        variances = scree(svd(np.diag([3.0, 2.0, 1.0])), normalized=True)
+        np.testing.assert_allclose(variances, [9 / 14, 4 / 14, 1 / 14])
+        assert abs(variances.sum() - 1.0) <= 1e-9
 
     def test_flat_spectrum_normalizes_uniformly(self):
-        curve = scree(svd(np.eye(4)), normalized=True)
-        np.testing.assert_allclose(curve.variances, [0.25] * 4)
+        variances = scree(svd(np.eye(4)), normalized=True)
+        np.testing.assert_allclose(variances, [0.25] * 4)
 
     def test_zero_spectrum_cannot_normalize(self):
         s = svd(np.diag([1.0, 1.0]))
@@ -100,22 +98,19 @@ class TestCorrelationEigenvalues:
 
 class TestKneedle:
     def test_linear_curve_has_no_knee(self):
-        curve = ScreeCurve(np.linspace(10.0, 1.0, 8), normalized=False)
-        assert kneedle(curve) is None
+        assert kneedle(np.linspace(10.0, 1.0, 8)) is None
 
     def test_flat_curve_has_no_knee(self):
-        curve = ScreeCurve(np.full(5, 3.0), normalized=False)
-        assert kneedle(curve) is None
+        assert kneedle(np.full(5, 3.0)) is None
 
     def test_agrees_with_chord_oracle_on_hyperbola(self):
         y = 1.0 / (np.arange(10) + 1.0)
-        got = kneedle(ScreeCurve(y, normalized=False), sensitivity=1.0)
+        got = kneedle(y, sensitivity=1.0)
         assert got == chord_knee_oracle(y)
 
     def test_sharp_spectral_drop_keeps_three(self):
         lam = np.array([10.0, 9.0, 8.0, 0.1, 0.1, 0.1, 0.1, 0.1])
-        curve = ScreeCurve(lam**2, normalized=False)
-        got = kneedle(curve)
+        got = kneedle(lam**2)
         assert got == 3
         assert got == chord_knee_oracle(lam**2)
 
@@ -124,30 +119,26 @@ class TestKneedle:
         for _ in range(50):
             m = int(rng.integers(3, 25))
             y = np.sort(rng.uniform(0.0, 10.0, m))[::-1]
-            curve = ScreeCurve(y, normalized=False)
-            moved = ScreeCurve(5.0 * y + 2.0, normalized=False)
-            assert kneedle(curve) == kneedle(moved)
+            assert kneedle(y) == kneedle(5.0 * y + 2.0)
 
     def test_result_is_a_valid_component_count(self):
         rng = np.random.default_rng(56)
         for _ in range(50):
             m = int(rng.integers(3, 25))
             y = np.sort(rng.uniform(0.0, 10.0, m))[::-1]
-            got = kneedle(ScreeCurve(y, normalized=False))
+            got = kneedle(y)
             assert got is None or 1 <= got <= m
 
     def test_too_few_points(self):
-        with pytest.raises(DomainError):
-            kneedle(ScreeCurve(np.array([2.0, 1.0]), normalized=False))
+        with pytest.raises(DegenerateInputError, match="at least 3 scree points, got 2"):
+            kneedle(np.array([2.0, 1.0]))
 
     def test_sensitivity_must_be_positive(self):
-        curve = ScreeCurve(np.array([3.0, 2.0, 1.0]), normalized=False)
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError):
-                kneedle(curve, sensitivity=bad)
+                kneedle(np.array([3.0, 2.0, 1.0]), sensitivity=bad)
 
     def test_high_sensitivity_suppresses_shallow_bends(self):
         y = 1.0 / (np.arange(10) + 1.0)
-        curve = ScreeCurve(y, normalized=False)
-        assert kneedle(curve, sensitivity=1.0) is not None
-        assert kneedle(curve, sensitivity=9.0) is None
+        assert kneedle(y, sensitivity=1.0) is not None
+        assert kneedle(y, sensitivity=9.0) is None

@@ -254,6 +254,9 @@ class TestExtremeScales:
         assert "column 6 is constant" in report["baselines"]["skipped"]["kaiser"]
 
 
+KNEE_TOO_SHORT = "knee detection needs at least 3 scree points, got 2"
+
+
 class TestTwoColumns:
     """With m = 2 the scree has too few points for a knee: kneedle is
     reported as null with its reason, and the selection still runs."""
@@ -272,10 +275,30 @@ class TestTwoColumns:
         reports = json.loads(out)
         for report in reports if command else [reports]:
             assert report["baselines"]["kneedle"] is None
-            assert "at least 3" in report["baselines"]["skipped"]["kneedle"]
+            assert report["baselines"]["skipped"]["kneedle"] == KNEE_TOO_SHORT
             assert isinstance(report["baselines"]["kaiser"], int)
             assert report["k_lower_opt"] == 1
             jsonschema.validate(report, _schema())
+
+    @requires_jsonschema
+    def test_both_baselines_skipped(self, tmp_path, capsys):
+        p = tmp_path / "g.csv"
+        x = np.random.default_rng(3).standard_normal((30, 2))
+        x[:, 1] = 0.7
+        p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in x) + "\n")
+        argv = ["select", "--input", str(p), "--raw", "--no-header", "--reproducible"]
+        status, out, err = _run(argv, capsys)
+        assert status == 0 and err == ""
+        report = json.loads(out)
+        assert report["baselines"] == {
+            "kaiser": None,
+            "kneedle": None,
+            "skipped": {
+                "kaiser": "column 2 is constant and cannot be standardized",
+                "kneedle": KNEE_TOO_SHORT,
+            },
+        }
+        jsonschema.validate(report, _schema())
 
 
 class TestOneDecompositionPerMatrix:
@@ -502,6 +525,24 @@ class TestBadFlagValues:
             assert status == 4 and "float64 range" in err
             status, _, err = _run(["generate", *spec, "--out", str(tmp_path / "big.csv")], capsys)
         assert status == 4 and "mixed column" in err and "Warning" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [str(10**17), str(10**20)], ids=["1e17", "1e20"])
+    @pytest.mark.parametrize(
+        "command",
+        [["select", "--synthetic", "lin"], ["scree", "--synthetic", "lin"],
+         ["compare", "--synthetic", "lin", "--lengths", "10"], ["generate", "--kind", "lin"]],
+        ids=["select", "scree", "compare", "generate"],
+    )
+    def test_oversize_synthetic_shape(self, tmp_path, capsys, command, n):
+        """A shape numpy cannot allocate (10**17 rows of 8 bytes are more
+        than any machine can map, so the allocation fails at once and no
+        memory is touched) or whose size exceeds numpy's dimension limit
+        (10**20 rows) is a usage error naming the shape."""
+        argv = [*command, "--n", n, "--m", "3", "--true-k", "1", "--out", str(tmp_path / "x")]
+        status, _, err = _run(argv, capsys)
+        assert status == 2
+        assert f"{n} x 3" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
 

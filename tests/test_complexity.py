@@ -18,7 +18,7 @@ from mdlrank import (
     tail_energy,
 )
 from mdlrank import complexity
-from mdlrank.complexity import RegressionNmlInputs, ScoreTable, _gap_ratio, regression_nml
+from mdlrank.complexity import ScoreTable, _gap_ratio, regression_nml
 from helpers import planted_rank_matrix
 
 # seeded once per example: deterministic, and no example database on disk
@@ -30,21 +30,20 @@ WORKED_SCORE = 19.872642139589626
 
 class TestRegressionNml:
     def test_all_terms_vanish(self):
-        inp = RegressionNmlInputs(n_obs=2, n_params=1, tau_hat=1.0, fit_energy=1.0)
-        assert regression_nml(inp) == 0.0
+        assert regression_nml(n_obs=2, n_params=1, tau_hat=1.0, fit_energy=1.0) == 0.0
 
     def test_worked_value(self):
-        inp = RegressionNmlInputs(n_obs=12, n_params=4, tau_hat=2.0, fit_energy=100.0)
-        assert regression_nml(inp) == pytest.approx(WORKED_SCORE, abs=1e-12)
+        got = regression_nml(n_obs=12, n_params=4, tau_hat=2.0, fit_energy=100.0)
+        assert got == pytest.approx(WORKED_SCORE, abs=1e-12)
 
     def test_params_must_be_fewer_than_observations(self):
         with pytest.raises(DomainError):
-            RegressionNmlInputs(n_obs=10, n_params=10, tau_hat=1.0, fit_energy=1.0)
+            regression_nml(n_obs=10, n_params=10, tau_hat=1.0, fit_energy=1.0)
 
     @pytest.mark.parametrize("tau,fit", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_nonpositive_scales_rejected(self, tau, fit):
         with pytest.raises(DomainError):
-            RegressionNmlInputs(n_obs=5, n_params=2, tau_hat=tau, fit_energy=fit)
+            regression_nml(n_obs=5, n_params=2, tau_hat=tau, fit_energy=fit)
 
 
 def _spectrum(n, values):
@@ -80,12 +79,10 @@ class TestStochasticComplexityTerms:
             assert table.k.tolist() == list(range(1, m))
             for k in range(1, m):
                 kernel = regression_nml(
-                    RegressionNmlInputs(
-                        n_obs=m * n,
-                        n_params=k * n,
-                        tau_hat=tail_energy(s, k),
-                        fit_energy=gram,
-                    )
+                    n_obs=m * n,
+                    n_params=k * n,
+                    tau_hat=tail_energy(s, k),
+                    fit_energy=gram,
                 )
                 assert table.lower_total[k - 1] == pytest.approx(kernel, rel=1e-12)
 

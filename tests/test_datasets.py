@@ -94,18 +94,6 @@ class TestGenerateLin:
         sv = svd(generate_lin(spec)).singular_values
         assert np.all(sv[5:] * 5.0 < sv[4])
 
-    def test_base_columns_pass_through(self):
-        base = np.arange(12.0).reshape(6, 2)
-        spec = SyntheticSpec(n=6, m=4, true_k=2, noise_sigma=0.0, seed=3)
-        x = generate_lin(spec, base=base)
-        np.testing.assert_array_equal(x[:, :2], base)
-        assert np.linalg.matrix_rank(x) <= 2
-
-    def test_base_shape_checked(self):
-        spec = SyntheticSpec(n=6, m=4, true_k=2, seed=3)
-        with pytest.raises(DomainError):
-            generate_lin(spec, base=np.ones((5, 2)))
-
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             SyntheticSpec(n=10, m=4, true_k=5)

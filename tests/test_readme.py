@@ -1,12 +1,14 @@
 """README and pyproject stay in step with the package: the names README
-lists as the package root's exports are exactly ``mdlrank.__all__``, and
-the version and schema version it states are the ones the code reports."""
+lists as the package root's exports are exactly ``mdlrank.__all__``, every
+flag its command-line section names is a CLI option, and the version and
+schema version it states are the ones the code reports."""
 
+import argparse
 import re
 from pathlib import Path
 
 import mdlrank
-from mdlrank.cli import SCHEMA_VERSION
+from mdlrank.cli import SCHEMA_VERSION, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -17,6 +19,21 @@ def test_readme_lists_exactly_the_root_exports():
     start = text.index("The package root exports")
     listed = set(re.findall(r"`(\w+)`", text[start:text.index("Other helpers", start)]))
     assert listed == set(mdlrank.__all__)
+
+
+def test_readme_cli_flags_are_parser_options():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("## Command line")
+    section = text[start:text.index("\n## ", start + 1)]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    (subs,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for sub in subs.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    assert flags and flags <= options, sorted(flags - options)
 
 
 def test_pyproject_version_is_the_package_version():
