@@ -6,11 +6,12 @@ errors. All error text goes to stderr; reports go to --out or stdout.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
-import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from .linalg import singular_spectrum
 from .quantization import validate_epsilon
 
 SCHEMA_VERSION = 2
+# the fields that open every JSON document the CLI writes
+HEADER = {"schema_version": SCHEMA_VERSION, "tool": "mdlrank", "version": __version__}
 
 
 class UsageError(Exception):
@@ -67,13 +70,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _spec_from_flags(args) -> SyntheticSpec:
-    """Synthetic-spec flags are arguments; a bad combination is a usage
-    error, not a numerical one."""
+def _synthetic(args):
+    """The synthetic spec of the flags and its matrix. A bad flag combination
+    or a shape too large for numpy to allocate is a usage error, not a crash."""
     if args.n is None or args.m is None or args.true_k is None:
         raise UsageError("--synthetic needs --n, --m and --true-k")
     try:
-        return SyntheticSpec(
+        spec = SyntheticSpec(
             n=args.n,
             m=args.m,
             true_k=args.true_k,
@@ -84,12 +87,6 @@ def _spec_from_flags(args) -> SyntheticSpec:
         )
     except DomainError as exc:
         raise UsageError(f"invalid synthetic spec: {exc}") from exc
-
-
-def _synthetic(args):
-    """The synthetic spec of the flags and its matrix. A shape too large
-    for numpy to allocate is a usage error naming it, not a crash."""
-    spec = _spec_from_flags(args)
     try:
         return spec, generate_lin(spec)
     except DomainError:
@@ -101,11 +98,10 @@ def _synthetic(args):
 
 
 def _load_input(args):
-    """Resolve --input/--synthetic into (descriptor, matrix, generator)."""
+    """Resolve --input/--synthetic into (descriptor, matrix)."""
     if args.synthetic is not None:
         spec, matrix = _synthetic(args)
-        meta = generator_metadata(spec)
-        return {"kind": "synthetic", "synthetic": meta}, matrix, meta
+        return {"kind": "synthetic", "synthetic": generator_metadata(spec)}, matrix
     if args.input is None:
         raise UsageError("provide --input PATH or --synthetic lin")
     descriptor = {"kind": "csv", "path": args.input, "raw": bool(args.raw)}
@@ -113,7 +109,7 @@ def _load_input(args):
         _, matrix = load_matrix_csv(args.input, has_header=args.header)
     else:
         matrix = returns_transform(load_csv(args.input, has_header=args.header))
-    return descriptor, matrix, None
+    return descriptor, matrix
 
 
 def _baselines(matrix, spectrum, sensitivity):
@@ -155,20 +151,17 @@ def _selection_block(matrix, spectrum, epsilon, gram_mode):
     }
 
 
-def _run_report(args, descriptor, matrix, generator):
+def _run_report(args, descriptor, matrix, epsilon):
     n, m = matrix.shape
-    epsilon = _resolve_epsilon(args.epsilon, m)
     spectrum = singular_spectrum(matrix)
     block = _selection_block(matrix, spectrum, epsilon, args.gram_mode)
     out = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "mdlrank",
-        "version": __version__,
+        **HEADER,
         "input": descriptor,
         "n": n,
         "m": m,
         "epsilon": epsilon,
-        "generator": generator,
+        "generator": descriptor.get("synthetic"),
         "baselines": _baselines(matrix, spectrum, args.kneedle_sensitivity),
     }
     out.update(block)
@@ -182,51 +175,53 @@ def _run_report(args, descriptor, matrix, generator):
     return out
 
 
-def _emit_text(text, path):
+@contextlib.contextmanager
+def _output(path):
+    """stdout for no path or "-", otherwise the file at *path*; a file that
+    cannot be opened or written is a usage error."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_json(payload, path):
-    _emit_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    with _output(path) as fh:
+        fh.write(text)
 
 
-def _csv_text(header, rows):
-    """CSV text of a header row and data rows; csv writes None as an empty
-    cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit_csv(path, header, rows):
+    """The header, then the rows one by one; csv writes None as an empty cell."""
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_select(args) -> int:
-    descriptor, matrix, generator = _load_input(args)
-    out = _run_report(args, descriptor, matrix, generator)
+    descriptor, matrix = _load_input(args)
+    epsilon = _resolve_epsilon(args.epsilon, matrix.shape[1])
+    out = _run_report(args, descriptor, matrix, epsilon)
     _emit_json(out, args.out)
     if args.table is not None:
-        rows = (row.values() for row in out["per_k"])
-        _emit_text(_csv_text(ScoreTable._fields, rows), args.table)
+        _emit_csv(args.table, ScoreTable._fields, (row.values() for row in out["per_k"]))
     return 0
 
 
 def cmd_scree(args) -> int:
-    _, matrix, _ = _load_input(args)
+    _, matrix = _load_input(args)
     variances = scree(singular_spectrum(matrix), normalized=args.normalized)
-    rows = enumerate(variances.tolist(), start=1)
-    _emit_text(_csv_text(["component", "variance"], rows), args.out)
+    _emit_csv(args.out, ["component", "variance"], enumerate(variances.tolist(), start=1))
     return 0
 
 
 def cmd_compare(args) -> int:
-    descriptor, matrix, generator = _load_input(args)
+    descriptor, matrix = _load_input(args)
     try:
         lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
     except ValueError:
@@ -242,10 +237,10 @@ def cmd_compare(args) -> int:
                 f"prefix length {length} is too short to analyze: a prefix of the "
                 f"{width}-column input needs at least {max(2, width)} rows"
             )
+    epsilon = _resolve_epsilon(args.epsilon, width)
     reports = []
     for length in lengths:
-        prefix = matrix[:length]
-        out = _run_report(args, descriptor, prefix, generator)
+        out = _run_report(args, descriptor, matrix[:length], epsilon)
         out["length"] = length
         reports.append(out)
     _emit_json(reports, args.out)
@@ -254,16 +249,20 @@ def cmd_compare(args) -> int:
 
 def cmd_generate(args) -> int:
     spec, matrix = _synthetic(args)
+    header = [f"col_{j + 1}" for j in range(spec.m)]
     rows = (row.tolist() for row in matrix)
-    _emit_text(_csv_text([f"col_{j + 1}" for j in range(spec.m)], rows), args.out)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "mdlrank",
-        "version": __version__,
-        "generator": generator_metadata(spec),
-    }
-    if args.out is not None and args.out != "-":
-        _emit_json(meta, args.out + ".meta.json")
+    if args.out is None or args.out == "-":
+        _emit_csv(args.out, header, rows)
+        return 0
+    # the sidecar first, removed again if the CSV cannot be written, so
+    # that a usage error leaves neither file
+    sidecar = args.out + ".meta.json"
+    _emit_json({**HEADER, "generator": generator_metadata(spec)}, sidecar)
+    try:
+        _emit_csv(args.out, header, rows)
+    except UsageError:
+        os.remove(sidecar)
+        raise
     return 0
 
 

@@ -148,7 +148,7 @@ def _read_fast(path, has_header):
     row, no data, a non-finite cell, a quoted header, an unreadable file).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             names = None
             if has_header:
                 line = fh.readline()
@@ -176,7 +176,7 @@ def _parse_cells(path, has_header):
     file coordinates on any parse failure. A row number is the file line
     on which its record starts."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             raw = []
             first_line = 1

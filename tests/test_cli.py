@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -427,6 +428,26 @@ class TestCompare:
         for element in json.loads(out):
             jsonschema.validate(element, schema)
 
+    def test_reports_follow_the_order_of_lengths(self, tmp_path, capsys):
+        """Unsorted and repeated lengths come back as given, and each report
+        is the select report of that prefix."""
+        fixture = bundled_fixture_path()
+        lines = fixture.read_text().splitlines(keepends=True)
+        status, out, _ = _run(["compare", "--input", str(fixture), "--lengths",
+                               "259,100,200,100", "--reproducible"], capsys)
+        assert status == 0
+        reports = json.loads(out)
+        assert [r.pop("length") for r in reports] == [259, 100, 200, 100]
+        assert reports[1] == reports[3]
+        for length, report in zip([259, 100, 200], reports):
+            prefix = tmp_path / f"prefix{length}.csv"
+            prefix.write_text("".join(lines[: length + 2]))  # header, length + 1 prices
+            status, out, _ = _run(["select", "--input", str(prefix), "--reproducible"], capsys)
+            assert status == 0
+            expected = json.loads(out)
+            assert expected.pop("input") == {**report.pop("input"), "path": str(prefix)}
+            assert report == expected
+
     def test_bad_lengths_are_usage_errors(self, capsys):
         base = ["compare", "--synthetic", "lin", "--n", "50", "--m", "4", "--true-k", "2"]
         for bad in ("abc", "", "0", "3"):  # 3 rows < m = 4 columns
@@ -442,7 +463,7 @@ class TestGenerate:
     def test_written_matrix_has_planted_rank(self, tmp_path, capsys):
         out_csv = tmp_path / "lin.csv"
         assert main(self.BASE + ["--out", str(out_csv)]) == 0
-        rows = list(csv.reader(out_csv.open()))
+        rows = list(csv.reader(out_csv.read_text().splitlines()))
         matrix = np.array([[float(c) for c in r] for r in rows[1:]])
         assert matrix.shape == (10, 4)
         assert np.linalg.matrix_rank(matrix) == 2
@@ -480,6 +501,22 @@ class TestGenerate:
             ["generate", "--kind", "lin", "--n", "10", "--m", "4", "--true-k", "9"], capsys
         )
         assert status == 2 and "synthetic spec" in err
+
+    def test_peak_memory_is_bounded_by_the_matrix(self, tmp_path):
+        """Rows go to the file one at a time, so the CSV text is never held
+        whole."""
+        n, m = 20000, 30
+        argv = ["generate", "--n", str(n), "--m", str(m), "--true-k", "5",
+                "--out", str(tmp_path / "lin.csv")]
+        assert main(argv) == 0  # warm any lazy imports out of the measurement
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak <= 2 * n * m * 8
 
 
 class TestBadFlagValues:
@@ -566,6 +603,45 @@ class TestUnwritableOutput:
         status, _, err = _run([arg.format(**paths) for arg in argv], capsys)
         assert status == 2
         assert "cannot write" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("directory", ["lin.csv", "lin.csv.meta.json"])
+    def test_generate_leaves_no_file(self, tmp_path, capsys, directory):
+        """When either the CSV or its sidecar is an existing directory,
+        generate writes neither file."""
+        (tmp_path / directory).mkdir()
+        argv = ["generate", "--n", "10", "--m", "4", "--true-k", "2",
+                "--out", str(tmp_path / "lin.csv")]
+        status, _, err = _run(argv, capsys)
+        assert status == 2
+        assert f"cannot write {tmp_path / directory}" in err
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+
+class TestOutputDestination:
+    """Every output writes the same bytes to stdout as to a file."""
+
+    @pytest.mark.parametrize(
+        "argv, to_stdout, to_file",
+        [
+            (["select", "--input", "{fixture}", "--reproducible"], [], ["--out", "{file}"]),
+            (["select", "--input", "{fixture}", "--reproducible", "--out", "{report}"],
+             ["--table", "-"], ["--table", "{file}"]),
+            (["scree", "--input", "{fixture}"], [], ["--out", "{file}"]),
+            (["compare", "--input", "{fixture}", "--lengths", "100,200", "--reproducible"],
+             [], ["--out", "{file}"]),
+            (["generate", "--n", "10", "--m", "4", "--true-k", "2"], ["--out", "-"],
+             ["--out", "{file}"]),
+        ],
+        ids=["select", "select-table", "scree", "compare", "generate"],
+    )
+    def test_stdout_matches_file(self, tmp_path, capsys, argv, to_stdout, to_file):
+        paths = {"fixture": str(bundled_fixture_path()), "file": str(tmp_path / "out"),
+                 "report": str(tmp_path / "report.json")}
+        status, stdout, _ = _run([a.format(**paths) for a in argv + to_stdout], capsys)
+        assert status == 0
+        status, _, _ = _run([a.format(**paths) for a in argv + to_file], capsys)
+        assert status == 0
+        assert stdout.encode("utf-8") == (tmp_path / "out").read_bytes()
 
 
 class TestErrorTaxonomy:

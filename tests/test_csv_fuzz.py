@@ -43,6 +43,8 @@ def csv_texts(draw):
     text = "".join(lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text  # the byte-order mark of Excel's "CSV UTF-8"
     return text
 
 

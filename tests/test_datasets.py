@@ -225,18 +225,23 @@ class TestVectorisedRead:
 
     @pytest.mark.parametrize("header", [True, False])
     def test_well_formed_files_skip_the_scanner(self, tmp_path, monkeypatch, header):
+        """A leading byte-order mark, as Excel's "CSV UTF-8" writes, changes
+        neither the names nor the values."""
         p = _write_prices(tmp_path / "p.csv", 30, 4, header=header)
+        bom = tmp_path / "bom.csv"
+        bom.write_text("\ufeff" + p.read_text(), encoding="utf-8")
         expected = datasets._parse_cells(p, header)
 
         def scanner(*args):
             raise AssertionError("the scanner ran on a well-formed file")
 
         monkeypatch.setattr(datasets, "_parse_cells", scanner)
-        table = load_csv(p, has_header=header)
-        names, matrix = load_matrix_csv(p, has_header=header)
-        assert table.column_names == names == expected[0]
         want = np.array([r for _, r in expected[1]], dtype=np.float64)
-        assert table.prices.tobytes() == matrix.tobytes() == want.tobytes()
+        for path in (p, bom):
+            table = load_csv(path, has_header=header)
+            names, matrix = load_matrix_csv(path, has_header=header)
+            assert table.column_names == names == expected[0]
+            assert table.prices.tobytes() == matrix.tobytes() == want.tobytes()
 
     def test_cells_only_float_accepts_fall_back_to_the_scanner(self, tmp_path):
         p = tmp_path / "odd.csv"
