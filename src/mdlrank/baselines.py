@@ -1,12 +1,13 @@
 """Classical component-count selectors: the Kaiser rule on the column
-correlation eigenvalues and knee detection on scree curves."""
+correlation eigenvalues (:func:`mdlrank.linalg.correlation_values`) and
+knee detection on scree curves."""
 
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .linalg import Spectrum, as_matrix, binary_scaled
+from .linalg import Spectrum, binary_scaled
 
 # the knee is an interior point, so a curve needs both ends and one between
 KNEE_MIN_POINTS = 3
@@ -39,28 +40,6 @@ def scree(s: Spectrum, normalized: bool = False) -> np.ndarray:
             "cannot normalize a scree curve with zero total variance"
         )
     return variances / total
-
-
-def correlation_eigenvalues(x) -> np.ndarray:
-    """Eigenvalues, ascending, of the column correlation matrix of *x*.
-
-    Raises DegenerateInputError naming the first column whose entries are
-    all equal, since it has no correlation. Each column is first scaled by
-    an exact power of two, which leaves its correlations unchanged and
-    keeps every product in range at any data scale.
-    """
-    a = as_matrix(x)
-    flat = np.flatnonzero(a.max(axis=0) == a.min(axis=0))
-    if flat.size:
-        raise DegenerateInputError(
-            f"column {flat[0] + 1} is constant and cannot be standardized"
-        )
-    c = binary_scaled(a, axis=0)[0]
-    c -= c.mean(axis=0)
-    gram = c.T @ c
-    norms = np.sqrt(np.diagonal(gram))
-    gram /= np.outer(norms, norms)
-    return np.linalg.eigvalsh(gram)
 
 
 def kaiser(eigenvalues_of_correlation) -> int:

@@ -12,11 +12,12 @@ import datetime
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .baselines import correlation_eigenvalues, kaiser, kneedle, scree
+from .baselines import kaiser, kneedle, scree
 from .complexity import GRAM_MODES, ScoreTable, default_epsilon, select_rank
 from .datasets import (
     SyntheticSpec,
@@ -27,7 +28,7 @@ from .datasets import (
     returns_transform,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
-from .linalg import singular_spectrum
+from .linalg import correlation_values, factor_spectrum, prefix_factors
 from .quantization import validate_epsilon
 
 SCHEMA_VERSION = 2
@@ -112,7 +113,7 @@ def _load_input(args):
     return descriptor, matrix
 
 
-def _baselines(matrix, spectrum, sensitivity):
+def _baselines(factor, spectrum, sensitivity):
     """Kaiser count on correlation eigenvalues plus knee of the scree.
 
     A baseline that cannot use the input (Kaiser on a constant column, the
@@ -121,7 +122,7 @@ def _baselines(matrix, spectrum, sensitivity):
     on, since the selection does not depend on it.
     """
     rules = {
-        "kaiser": lambda: kaiser(correlation_eigenvalues(matrix)),
+        "kaiser": lambda: kaiser(correlation_values(factor)),
         "kneedle": lambda: kneedle(scree(spectrum, normalized=True), sensitivity),
     }
     out = {}
@@ -151,9 +152,10 @@ def _selection_block(matrix, spectrum, epsilon, gram_mode):
     }
 
 
-def _run_report(args, descriptor, matrix, epsilon):
+def _run_report(args, descriptor, matrix, epsilon, factor):
+    """The report of *matrix*, whose R factor is *factor*."""
     n, m = matrix.shape
-    spectrum = singular_spectrum(matrix)
+    spectrum = factor_spectrum(factor)
     block = _selection_block(matrix, spectrum, epsilon, args.gram_mode)
     out = {
         **HEADER,
@@ -162,7 +164,7 @@ def _run_report(args, descriptor, matrix, epsilon):
         "m": m,
         "epsilon": epsilon,
         "generator": descriptor.get("synthetic"),
-        "baselines": _baselines(matrix, spectrum, args.kneedle_sensitivity),
+        "baselines": _baselines(factor, spectrum, args.kneedle_sensitivity),
     }
     out.update(block)
     if args.both_gram_modes:
@@ -175,48 +177,99 @@ def _run_report(args, descriptor, matrix, epsilon):
     return out
 
 
-@contextlib.contextmanager
-def _output(path):
-    """stdout for no path or "-", otherwise the file at *path*; a file that
-    cannot be opened or written is a usage error."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
+def _open_output(path):
+    """A text stream for *path*, and the (new, final) pair of paths to move
+    once every output is written, or None. A missing or regular file,
+    through any links, gets a new file of its own beside it, made with
+    O_EXCL and with the mode of the file it replaces; stdout (None or "-")
+    and any other existing path, such as a device or a FIFO, are written
+    as they are."""
+    if path in (None, "-"):
+        return sys.stdout, None
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG | 0o666
+    if not stat.S_ISREG(mode):
+        return open(path, "w", encoding="utf-8", newline=""), None
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, stat.S_IMODE(mode))
+    return os.fdopen(fd, "w", encoding="utf-8", newline=""), (temp, target)
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """An OSError on an output file as a usage error that names the file;
+    one on stdout passes through."""
+    try:
+        yield
     except OSError as exc:
+        if path in (None, "-"):
+            raise
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit_json(payload, path):
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    with _output(path) as fh:
-        fh.write(text)
+def _write_outputs(outputs):
+    """Write each (path, write) pair, *write* taking a text stream. A command
+    leaves all of its files or none: every output is opened before any is
+    written, and each new file is moved onto its path once all are written."""
+    opened = []
+    try:
+        for path, _ in outputs:
+            with _naming(path):
+                opened.append(_open_output(path))
+        for (path, write), (stream, _) in zip(outputs, opened):
+            with _naming(path):
+                write(stream)
+                stream.flush()
+        for (path, _), (stream, move) in zip(outputs, opened):
+            with _naming(path):
+                if move:
+                    stream.close()
+                    os.replace(*move)
+    finally:
+        for stream, move in opened:
+            if stream is not sys.stdout:
+                with contextlib.suppress(OSError):
+                    stream.close()
+            if move and os.path.lexists(move[0]):
+                os.remove(move[0])
 
 
-def _emit_csv(path, header, rows):
+def _json(payload):
+    return lambda stream: stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def _csv(header, rows):
     """The header, then the rows one by one; csv writes None as an empty cell."""
-    with _output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+
+    def write(stream):
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+    return write
 
 
 def cmd_select(args) -> int:
     descriptor, matrix = _load_input(args)
     epsilon = _resolve_epsilon(args.epsilon, matrix.shape[1])
-    out = _run_report(args, descriptor, matrix, epsilon)
-    _emit_json(out, args.out)
+    (factor,) = prefix_factors(matrix, [len(matrix)])
+    out = _run_report(args, descriptor, matrix, epsilon, factor)
+    outputs = [(args.out, _json(out))]
     if args.table is not None:
-        _emit_csv(args.table, ScoreTable._fields, (row.values() for row in out["per_k"]))
+        outputs.append((args.table, _csv(ScoreTable._fields, (row.values() for row in out["per_k"]))))
+    _write_outputs(outputs)
     return 0
 
 
 def cmd_scree(args) -> int:
     _, matrix = _load_input(args)
-    variances = scree(singular_spectrum(matrix), normalized=args.normalized)
-    _emit_csv(args.out, ["component", "variance"], enumerate(variances.tolist(), start=1))
+    (factor,) = prefix_factors(matrix, [len(matrix)])
+    variances = scree(factor_spectrum(factor), normalized=args.normalized)
+    rows = enumerate(variances.tolist(), start=1)
+    _write_outputs([(args.out, _csv(["component", "variance"], rows))])
     return 0
 
 
@@ -238,31 +291,24 @@ def cmd_compare(args) -> int:
                 f"{width}-column input needs at least {max(2, width)} rows"
             )
     epsilon = _resolve_epsilon(args.epsilon, width)
-    reports = []
-    for length in lengths:
-        out = _run_report(args, descriptor, matrix[:length], epsilon)
-        out["length"] = length
-        reports.append(out)
-    _emit_json(reports, args.out)
+    # one streamed pass over the sorted distinct lengths, emitted as given
+    reports = {}
+    for factor in prefix_factors(matrix, lengths):
+        out = _run_report(args, descriptor, matrix[: factor.n], epsilon, factor)
+        out["length"] = factor.n
+        reports[factor.n] = out
+    _write_outputs([(args.out, _json([reports[length] for length in lengths]))])
     return 0
 
 
 def cmd_generate(args) -> int:
     spec, matrix = _synthetic(args)
     header = [f"col_{j + 1}" for j in range(spec.m)]
-    rows = (row.tolist() for row in matrix)
-    if args.out is None or args.out == "-":
-        _emit_csv(args.out, header, rows)
-        return 0
-    # the sidecar first, removed again if the CSV cannot be written, so
-    # that a usage error leaves neither file
-    sidecar = args.out + ".meta.json"
-    _emit_json({**HEADER, "generator": generator_metadata(spec)}, sidecar)
-    try:
-        _emit_csv(args.out, header, rows)
-    except UsageError:
-        os.remove(sidecar)
-        raise
+    outputs = [(args.out, _csv(header, (row.tolist() for row in matrix)))]
+    if args.out not in (None, "-"):
+        sidecar = {**HEADER, "generator": generator_metadata(spec)}
+        outputs.append((args.out + ".meta.json", _json(sidecar)))
+    _write_outputs(outputs)
     return 0
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .linalg import Spectrum, as_matrix, binary_scaled, singular_spectrum
+from .linalg import BLOCK_FACTOR, Spectrum, binary_scaled, singular_spectrum
 from .quantization import validate_epsilon
 
 # substituted for the residual energy before taking ln, so exactly low-rank
@@ -165,16 +165,23 @@ def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
     the fourth powers of the singular values. per_row_sum encodes the
     per-row form k * sum_j ln(X_j . X_j) by passing the mean log row
     energy, since n*k times that mean equals the sum; a row energy below
-    TAIL_FLOOR (a zero row) is floored.
+    TAIL_FLOOR (a zero row) is floored. The row energies are taken a grid
+    block of rows at a time, so no n x m copy is made, and each block's
+    entries are checked finite as they are read.
     """
     if gram_mode == "full_gram":
         scaled, exponent = binary_scaled(spectrum.singular_values)
         return math.log(float(np.sum(scaled**4))) + 4 * LN2 * float(exponent[0])
-    scaled, exponent = binary_scaled(x, axis=1)
-    scaled *= scaled  # a fresh array: square in place, no second n x m copy
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(np.sum(scaled, axis=1)) + 2 * LN2 * exponent[:, 0]
-    return float(np.mean(np.maximum(log_rows, LOG_TAIL_FLOOR)))
+    step = BLOCK_FACTOR * (x.shape[1] + 1)
+    log_rows = []
+    for start in range(0, len(x), step):
+        if not np.isfinite(x[start : start + step]).all():
+            raise DomainError("matrix entries must be finite (NaN/Inf rejected)")
+        scaled, exponent = binary_scaled(x[start : start + step], axis=1)
+        scaled *= scaled  # a fresh array: square in place
+        with np.errstate(divide="ignore"):
+            log_rows.append(np.log(np.sum(scaled, axis=1)) + 2 * LN2 * exponent[:, 0])
+    return float(np.mean(np.maximum(np.concatenate(log_rows), LOG_TAIL_FLOOR)))
 
 
 def select_rank(
@@ -186,20 +193,22 @@ def select_rank(
     1/(2m). The matrix must be taller than wide (or square) with at least
     one nonzero entry. ``spectrum`` is the :func:`singular_spectrum` of
     *x* when the caller already has it (to share one decomposition between
-    gram modes and baselines); otherwise it is computed here.
+    gram modes and baselines); otherwise it is computed here. Only the
+    per_row_sum mode reads the entries of *x* beyond the spectrum.
     """
-    a = as_matrix(x)
-    n, m = a.shape
     if gram_mode not in GRAM_MODES:
         raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
     if spectrum is None:
-        spectrum = singular_spectrum(a)
-    elif spectrum.n != n or len(spectrum.singular_values) != m:
+        spectrum = singular_spectrum(x)
+    a = np.asarray(x, dtype=np.float64)
+    if a.shape != (spectrum.n, len(spectrum.singular_values)):
         raise DomainError(
             f"spectrum of a {spectrum.n} x {len(spectrum.singular_values)} matrix "
-            f"does not match the {n} x {m} input"
+            f"does not match the input of shape {a.shape}"
         )
-    if not np.any(a):
+    n, m = a.shape
+    # only an all-zero matrix has an all-zero spectrum
+    if not np.any(spectrum.singular_values):
         raise DegenerateInputError("all-zero matrix has no signal to rank")
     if epsilon is None:
         epsilon = default_epsilon(m)

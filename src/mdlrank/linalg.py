@@ -1,4 +1,5 @@
-"""Dense-matrix primitives: the singular spectrum, the full SVD with
+"""Dense-matrix primitives: the streamed R factor of each analysed matrix
+and the singular and correlation spectra read from it, the full SVD with
 truncated reconstruction, residual energy, and exact power-of-two scaling.
 
 Everything here is a pure function of immutable inputs; returned arrays are
@@ -8,9 +9,11 @@ freshly allocated and safe to share across threads.
 import numpy as np
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DegenerateInputError, DomainError
 
 JACOBI_MAX_SWEEPS = 100
+# rows of one grid block of the streamed R factor, per column of [X | 1]
+BLOCK_FACTOR = 4
 
 
 def as_matrix(x) -> np.ndarray:
@@ -57,21 +60,112 @@ def _require_tall(a, what):
         )
 
 
+class Factor(NamedTuple):
+    """The R factor of ``[X | 1]`` over the first n rows of X: ``r`` is
+    (m + 1) x (m + 1), its column j from X's column j scaled by
+    ``2**-exponent[j]`` and its last from the ones; ``constant[j]`` says
+    whether column j's n entries are all equal. The ones come last so that
+    ``R[:m, :m]`` is the R factor of X alone, untouched by their rounding."""
+
+    n: int
+    r: np.ndarray
+    exponent: np.ndarray
+    constant: np.ndarray
+
+
+def prefix_factors(a, lengths):
+    """Yield the :class:`Factor` of the prefix of *a*, a checked matrix
+    (:func:`as_matrix`), for each length in [m, n] of ``sorted(set(lengths))``.
+
+    Rows are folded into R one block of ``BLOCK_FACTOR * (m + 1)`` rows at
+    a time, on a grid counted from the first row, and a prefix folds in its
+    rows past its last whole block with one more QR; each fold scales the
+    columns by the exact powers of two of :func:`binary_scaled` over the
+    rows folded so far. So a prefix's R is a function of its own rows, and
+    P prefixes of n rows cost O(n m^2 + P m^3).
+    """
+    ends = sorted(set(lengths))
+    _require_tall(a[: ends[0]], "singular_spectrum")
+    m = a.shape[1]
+    step = BLOCK_FACTOR * (m + 1)
+    blocks = [a[start : start + step] for start in range(0, ends[-1] - step + 1, step)]
+    # per column, the least and the greatest entry up to each block's end
+    lows = np.minimum.accumulate(np.reshape([b.min(axis=0) for b in blocks], (-1, m)))
+    highs = np.maximum.accumulate(np.reshape([b.max(axis=0) for b in blocks], (-1, m)))
+    r, exponent, folded = np.zeros((0, m + 1)), np.zeros(m, dtype=int), 0
+    for end in ends:
+        whole = end // step
+        for b in range(folded, whole):
+            r, exponent = _fold(r, exponent, blocks[b], np.maximum(highs[b], -lows[b]))
+        folded = whole
+        part = a[whole * step : end]
+        low = np.vstack([lows[whole - 1 : whole], part]).min(axis=0)
+        high = np.vstack([highs[whole - 1 : whole], part]).max(axis=0)
+        last = _fold(r, exponent, part, np.maximum(high, -low)) if len(part) else (r, exponent)
+        yield Factor(end, *last, low == high)
+
+
+def _fold(r, exponent, rows, peak):
+    """The R factor of *r* stacked on ``[rows | 1]``, and its column
+    exponents, those of the magnitudes *peak*. The columns of *r* move from
+    *exponent* onto them first, which is exact, as Householder QR commutes
+    with power-of-two column scaling. Zero rows pad the stack to m + 1."""
+    new = np.frexp(peak)[1]
+    top, m = len(r), len(peak)
+    stacked = np.zeros((max(top + len(rows), m + 1), m + 1))
+    np.ldexp(r[:, :-1], exponent - new, out=stacked[:top, :-1])
+    stacked[:top, -1] = r[:, -1]
+    np.ldexp(rows, -new, out=stacked[top : top + len(rows), :-1])
+    stacked[top : top + len(rows), -1] = 1.0
+    return np.linalg.qr(stacked, mode="r"), new
+
+
+def _singular_values(a):
+    """Values-only SVD, falling back to one-sided Jacobi rotations if the
+    LAPACK driver fails to converge."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return jacobi_svd(a).singular_values
+
+
+def factor_spectrum(f: Factor) -> Spectrum:
+    """Singular values of the factored rows of X, which are those of
+    ``R[:m, :m]``. The column exponents are put back relative to the
+    largest before the SVD and that one after it, so no entry overflows."""
+    top = int(f.exponent.max())
+    values = _singular_values(np.ldexp(f.r[:-1, :-1], f.exponent - top))
+    return Spectrum(n=f.n, singular_values=np.ldexp(values, top))
+
+
+def correlation_values(f: Factor) -> np.ndarray:
+    """Eigenvalues, descending, of the column correlation matrix of the
+    factored rows. With ``[X | 1] = Q R`` and u the last column of R over
+    its norm, the centred columns are ``Q (I - u u^T) R[:, :m]``, so these
+    are the squared singular values of ``(I - u u^T) R[:, :m]`` once its
+    columns have unit norm. Raises DegenerateInputError naming the first
+    constant column."""
+    flat = np.flatnonzero(f.constant)
+    if flat.size:
+        raise DegenerateInputError(
+            f"column {flat[0] + 1} is constant and cannot be standardized"
+        )
+    u = f.r[:, -1:] / np.linalg.norm(f.r[:, -1])
+    centred = f.r[:, :-1] - u @ (u.T @ f.r[:, :-1])
+    return _singular_values(centred / np.linalg.norm(centred, axis=0)) ** 2
+
+
 def singular_spectrum(x) -> Spectrum:
     """Singular values of a taller-than-wide matrix, without U or V.
 
     Everything the rank selection and the scree need is a function of these
-    values, so this is the one decomposition a selection runs. Requires
-    n >= m, and falls back to one-sided Jacobi rotations if the LAPACK
-    driver fails to converge, as :func:`svd` does.
+    values. This is the one-length case of :func:`prefix_factors`: requires
+    n >= m, and the small SVD of R falls back to one-sided Jacobi rotations
+    if the LAPACK driver fails to converge, as :func:`svd` does.
     """
     a = as_matrix(x)
-    _require_tall(a, "singular_spectrum")
-    try:
-        values = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        values = jacobi_svd(a).singular_values
-    return Spectrum(n=a.shape[0], singular_values=values)
+    (factor,) = prefix_factors(a, [a.shape[0]])
+    return factor_spectrum(factor)
 
 
 def svd(x) -> SvdResult:
@@ -114,7 +208,8 @@ def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
                 if abs(apq) <= tol:
                     continue
                 zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                # sign +1 at zeta = 0: columns of equal norm still rotate
+                t = (1.0 if zeta >= 0 else -1.0) / (abs(zeta) + np.hypot(1.0, zeta))
                 c = 1.0 / np.hypot(1.0, t)
                 s = t * c
                 rot = np.array([[c, s], [-s, c]])

@@ -28,6 +28,40 @@ def singular_values_by_gram_eig(x):
     return np.sqrt(np.maximum(np.sort(eig)[::-1], 0.0))
 
 
+def full_gram_totals(y, epsilon, log2_scale=0):
+    """Lower and upper full_gram totals over k = 1..m-1 of X = 2**log2_scale * y,
+    and the summed magnitude of the four terms of each lower total.
+
+    Independent of the library: the energies come from the eigenvalues of
+    y^T y, and the power-of-two scale enters in log space, so X itself may
+    lie far outside the range of its own Gram matrix.
+    """
+    n, m = y.shape
+    lam = np.clip(np.linalg.eigvalsh(y.T @ y), 0.0, None)  # ascending
+    tails = np.cumsum(lam)[::-1]  # tails[k]: the m - k smallest, sum of s_i^2 for i > k
+    k = np.arange(1, m)
+    shift = 2 * log2_scale * math.log(2.0)
+    with np.errstate(divide="ignore"):
+        log_tail = np.maximum(np.log(tails[1:]) + shift, math.log(1e-300))
+    log_gram = math.log(float(np.sum(lam * lam))) + 2 * shift
+    terms = (
+        (n * m - n * k) * log_tail,
+        n * k * log_gram,
+        (m * n - n * k - 1) * np.log(m / (m - k)),
+        -(n * k + 1) * np.log(n * k),
+    )
+    lower = sum(terms)
+    upper = lower + m * k * math.log(2.0 / (m * epsilon))
+    return lower, upper, sum(np.abs(t) for t in terms)
+
+
+def kaiser_counts(y, atol=1e-9):
+    """Acceptable Kaiser counts from the eigenvalues of np.corrcoef: either
+    side is allowed for an eigenvalue within *atol* of the cut at one."""
+    eig = np.linalg.eigvalsh(np.corrcoef(y, rowvar=False))
+    return set(range(int(np.sum(eig >= 1.0 + atol)), int(np.sum(eig >= 1.0 - atol)) + 1))
+
+
 def chord_knee_oracle(y):
     """Brute-force max point-to-chord distance; returns the 0-based index.
 

@@ -10,7 +10,7 @@ from mdlrank import (
     scree,
     svd,
 )
-from mdlrank.baselines import correlation_eigenvalues
+from mdlrank.linalg import correlation_values, prefix_factors
 from helpers import chord_knee_oracle
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -50,6 +50,13 @@ class TestKaiser:
     def test_subthreshold_components_never_change_the_count(self):
         base = [2.5, 1.7, 1.0]
         assert kaiser(base + [0.99, 0.4, 0.01]) == kaiser(base) == 3
+
+
+def correlation_eigenvalues(x):
+    """Ascending correlation eigenvalues of all rows of *x*, read from the
+    R factor of the streamed pass."""
+    (factor,) = prefix_factors(x, [len(x)])
+    return correlation_values(factor)[::-1]
 
 
 class TestCorrelationEigenvalues:

@@ -2,14 +2,21 @@ import csv
 import io
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mdlrank.cli import main
 from mdlrank.datasets import bundled_fixture_path
+from helpers import full_gram_totals, kaiser_counts
 
 try:
     import jsonschema
@@ -201,26 +208,37 @@ class TestExtremeScales:
     or an underflowed gram energy (exit 4)."""
 
     @staticmethod
-    def _select(path, capsys):
+    def _reports(path, capsys, command):
         status, out, err = _run(
-            ["select", "--input", str(path), "--raw", "--both-gram-modes", "--reproducible"],
+            command + ["--input", str(path), "--raw", "--both-gram-modes", "--reproducible"],
             capsys,
         )
         assert status == 0 and err == ""
-        return json.loads(out)
+        reports = json.loads(out)
+        return reports if command[0] == "compare" else [reports]
+
+    def _check_finite(self, tmp_path, capsys, scale, command):
+        units = self._reports(_write_gaussian_csv(tmp_path / "unit.csv", 1.0), capsys, command)
+        scaled = self._reports(_write_gaussian_csv(tmp_path / "scaled.csv", scale), capsys, command)
+        for unit, report in zip(units, scaled, strict=True):
+            for block in (report, report["alt"]):
+                for row in block["per_k"]:
+                    assert math.isfinite(row["lower_total"]) and math.isfinite(row["upper_total"])
+            assert report["baselines"] == unit["baselines"]
+            floored = [row["floored"] for row in report["per_k"]]
+            # residual energies below the 1e-300 floor are floored and marked
+            assert any(floored) == (scale < 1.0)
+            assert not any(row["floored"] for row in unit["per_k"])
 
     @pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160])
     def test_select_exits_cleanly_with_finite_totals(self, tmp_path, capsys, scale):
-        unit = self._select(_write_gaussian_csv(tmp_path / "unit.csv", 1.0), capsys)
-        report = self._select(_write_gaussian_csv(tmp_path / "scaled.csv", scale), capsys)
-        for block in (report, report["alt"]):
-            for row in block["per_k"]:
-                assert math.isfinite(row["lower_total"]) and math.isfinite(row["upper_total"])
-        assert report["baselines"] == unit["baselines"]
-        floored = [row["floored"] for row in report["per_k"]]
-        # residual energies below the 1e-300 floor are floored and marked
-        assert any(floored) == (scale < 1.0)
-        assert not any(row["floored"] for row in unit["per_k"])
+        self._check_finite(tmp_path, capsys, scale, ["select"])
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160])
+    def test_compare_exits_cleanly_with_finite_totals(self, tmp_path, capsys, scale):
+        # m = 8 columns: prefixes of m and m + 1 rows, and either side of
+        # the first grid block of 4 * (m + 1) = 36 rows
+        self._check_finite(tmp_path, capsys, scale, ["compare", "--lengths", "200,8,9,36,37,100"])
 
     @requires_jsonschema
     def test_flat_price_column_skips_kaiser_only(self, tmp_path, capsys):
@@ -303,40 +321,59 @@ class TestTwoColumns:
 
 
 class TestOneDecompositionPerMatrix:
-    """Selection, both gram modes and the baselines share one values-only
-    decomposition of each analysed matrix."""
+    """Selection, both gram modes and the baselines read one streamed R
+    factor of [X | 1] per analysed matrix: every SVD is values-only and of
+    at most m + 1 rows, one for the spectrum and one for Kaiser, and each
+    input row goes through a QR at most twice, once in its grid block and
+    once in the partial block of a prefix."""
 
     @pytest.fixture
-    def svd_calls(self, monkeypatch):
-        calls = []
-        real = np.linalg.svd
+    def calls(self, monkeypatch):
+        calls = {"svd": [], "qr": []}
+        real_svd, real_qr = np.linalg.svd, np.linalg.qr
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return real(*args, **kwargs)
+        def svd(a, *args, **kwargs):
+            calls["svd"].append((a.shape[0], kwargs.get("compute_uv", True)))
+            return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        def qr(a, *args, **kwargs):
+            # input rows are the ones that hold the 1 of [X | 1]; the rows
+            # of R and the zero padding do not. Their (distinct) scaled
+            # first-column values name them.
+            calls["qr"].append(a[a[:, -1] == 1.0, 0])
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "qr", qr)
         return calls
 
-    def test_select_both_gram_modes(self, svd_calls, capsys):
+    @staticmethod
+    def _check(calls, m, svds, rows):
+        assert len(calls["svd"]) == svds
+        assert all(rows <= m + 1 and not uv for rows, uv in calls["svd"])
+        seen = Counter(np.concatenate(calls["qr"]).tolist())
+        assert len(seen) == rows
+        assert max(seen.values()) <= 2
+
+    def test_select_both_gram_modes(self, calls, capsys):
         status, _, _ = _run(LIN10 + ["--both-gram-modes"], capsys)
         assert status == 0
-        assert svd_calls == [False]
+        self._check(calls, m=30, svds=2, rows=500)
 
-    def test_compare_once_per_prefix(self, svd_calls, capsys):
+    def test_compare_once_per_prefix(self, calls, capsys):
         status, _, _ = _run(
             ["compare", "--synthetic", "lin", "--n", "500", "--m", "30", "--true-k", "5",
-             "--seed", "7", "--lengths", "200,300,500", "--reproducible"],
+             "--seed", "7", "--lengths", "300,200,500,200", "--reproducible"],
             capsys,
         )
         assert status == 0
-        assert svd_calls == [False, False, False]
+        self._check(calls, m=30, svds=6, rows=500)
 
-    def test_scree(self, svd_calls, tmp_path, capsys):
-        p = _write_diag321(tmp_path)
-        status, _, _ = _run(["scree", "--input", str(p), "--raw", "--no-header"], capsys)
+    def test_scree(self, calls, tmp_path, capsys):
+        p = _write_gaussian_csv(tmp_path / "g.csv", 1.0)
+        status, _, _ = _run(["scree", "--input", str(p), "--raw"], capsys)
         assert status == 0
-        assert svd_calls == [False]
+        self._check(calls, m=8, svds=1, rows=200)
 
 
 class TestScree:
@@ -448,12 +485,92 @@ class TestCompare:
             assert expected.pop("input") == {**report.pop("input"), "path": str(prefix)}
             assert report == expected
 
+    def test_blas_thread_count_changes_no_selection(self):
+        """The BLAS thread count may move the last bits of a report but
+        never a selected k, its bracket or a baseline."""
+        picks = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdlrank.cli", "compare", "--input",
+                 str(bundled_fixture_path()), "--lengths", "259,30,100", "--reproducible"],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            keys = ("length", "k_lower_opt", "k_upper_opt", "k_bracket", "baselines")
+            picks.append([{key: r[key] for key in keys} for r in json.loads(proc.stdout)])
+        assert picks[0] == picks[1]
+        assert [p["length"] for p in picks[0]] == [259, 30, 100]
+
     def test_bad_lengths_are_usage_errors(self, capsys):
         base = ["compare", "--synthetic", "lin", "--n", "50", "--m", "4", "--true-k", "2"]
         for bad in ("abc", "", "0", "3"):  # 3 rows < m = 4 columns
             status, _, err = _run(base + ["--lengths", bad], capsys)
             assert status == 2, bad
         assert "4-column" in err
+
+
+class TestCompareEqualsSelect:
+    """Each compare element is the select report of its prefix, byte for
+    byte, and its k and Kaiser count agree with independent oracles."""
+
+    M = 4
+    STEP = 4 * (M + 1)  # rows of one grid block of the streamed R factor
+    N = 3 * STEP + 5
+    LENGTHS = st.lists(
+        st.one_of(
+            st.sampled_from([M, M + 1, STEP - 1, STEP, STEP + 1, 2 * STEP - 1, 2 * STEP + 1, N]),
+            st.integers(M, N),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+    # capsys may span examples: _run reads and clears it after every command
+    @settings(
+        max_examples=25, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log2_scale=st.integers(-900, 900),
+        offsets=st.lists(st.integers(-4, 4), min_size=M, max_size=M),
+        data=st.data(),
+    )
+    def test_each_element_is_the_select_report_of_its_prefix(
+        self, tmp_path_factory, capsys, seed, log2_scale, offsets, data
+    ):
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((self.N, 2)) @ rng.standard_normal((2, self.M))
+        base += 0.3 * rng.standard_normal((self.N, self.M))
+        cols = np.array(data.draw(st.permutations(range(self.M)), label="cols"))
+        y = np.ldexp(base[:, cols], offsets)
+        lengths = data.draw(self.LENGTHS, label="lengths")
+        work = tmp_path_factory.mktemp("prefixes")
+        lines = [",".join(repr(float(v)) for v in row) + "\n" for row in np.ldexp(y, log2_scale)]
+        path = work / "x.csv"
+        path.write_text("".join(lines))
+        flags = ["--raw", "--no-header", "--reproducible"]
+        status, out, err = _run(
+            ["compare", "--input", str(path), "--lengths", ",".join(map(str, lengths))] + flags,
+            capsys,
+        )
+        assert status == 0, err
+        reports = json.loads(out)
+        assert [r.pop("length") for r in reports] == lengths
+        for length, report in zip(lengths, reports):
+            prefix = work / f"prefix{length}.csv"
+            prefix.write_text("".join(lines[:length]))
+            status, expected, _ = _run(["select", "--input", str(prefix)] + flags, capsys)
+            assert status == 0
+            report["input"]["path"] = str(prefix)
+            assert json.dumps(report, indent=2) + "\n" == expected
+
+            lower, upper, scale = full_gram_totals(y[:length], report["epsilon"], log2_scale)
+            tie = 2e-9 * float(np.max(scale))
+            assert lower[report["k_lower_opt"] - 1] <= lower.min() + tie
+            assert upper[report["k_upper_opt"] - 1] <= upper.min() + tie
+            assert report["baselines"]["kaiser"] in kaiser_counts(y[:length])
 
 
 class TestGenerate:
@@ -604,6 +721,23 @@ class TestUnwritableOutput:
         assert status == 2
         assert "cannot write" in err and "Traceback" not in err
 
+    def test_select_writes_no_report_when_the_table_fails(self, tmp_path, capsys):
+        """Every output is opened before any is written, and files replace
+        their paths only at the end: a failing --table leaves no report,
+        neither a new file nor a changed old one, and prints nothing."""
+        report = tmp_path / "r.json"
+        bad = str(tmp_path / "missing" / "x.csv")
+        base = ["select", "--input", str(bundled_fixture_path()), "--table", bad]
+        for out in (["--out", str(report)], ["--out", "-"], []):
+            status, stdout, err = _run(base + out, capsys)
+            assert status == 2 and stdout == ""
+            assert f"cannot write {bad}" in err
+            assert list(tmp_path.iterdir()) == []
+        report.write_text("kept\n")
+        assert _run(base + ["--out", str(report)], capsys)[0] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+        assert report.read_text() == "kept\n"
+
     @pytest.mark.parametrize("directory", ["lin.csv", "lin.csv.meta.json"])
     def test_generate_leaves_no_file(self, tmp_path, capsys, directory):
         """When either the CSV or its sidecar is an existing directory,
@@ -644,6 +778,59 @@ class TestOutputDestination:
         assert stdout.encode("utf-8") == (tmp_path / "out").read_bytes()
 
 
+class TestOutputTargets:
+    """A missing or regular output file gets a new file, moved onto it once
+    every output is written; any other path is written as it is."""
+
+    FIXTURE = str(bundled_fixture_path())
+
+    def test_device_is_written_in_place(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        status, out, _ = _run(
+            ["select", "--input", self.FIXTURE, "--out", os.devnull, "--table", str(table)], capsys
+        )
+        assert status == 0 and out == ""
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "scree.fifo"
+        os.mkfifo(fifo)
+        # a reader first, so that opening the writer does not block; the
+        # scree is far smaller than the pipe buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            status, _, _ = _run(["scree", "--input", self.FIXTURE, "--out", str(fifo)], capsys)
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert status == 0 and data.startswith(b"component,variance\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["scree.fifo"]
+
+    def test_link_is_written_through_and_mode_kept(self, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        real.write_text("old\n")
+        real.chmod(0o600)
+        link = tmp_path / "link.json"
+        link.symlink_to(real.name)
+        status, _, _ = _run(["select", "--input", self.FIXTURE, "--out", str(link)], capsys)
+        assert status == 0 and link.is_symlink()
+        assert json.loads(real.read_text())["tool"] == "mdlrank"
+        assert stat.S_IMODE(real.stat().st_mode) == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_stdout_failure_passes_through_and_leaves_no_table(self, tmp_path, monkeypatch):
+        class Broken(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Broken())
+        with pytest.raises(BrokenPipeError):
+            main(["select", "--input", self.FIXTURE, "--table", str(tmp_path / "t.csv")])
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestErrorTaxonomy:
     def test_wide_matrix_is_numerical_error(self, tmp_path, capsys):
         p = tmp_path / "wide.csv"
@@ -656,6 +843,16 @@ class TestErrorTaxonomy:
         p.write_text("0,0\n0,0\n0,0\n")
         status, _, err = _run(["select", "--input", str(p), "--raw", "--no-header"], capsys)
         assert status == 3 and "data error" in err
+
+    def test_all_zero_prefix_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "zero.csv"
+        x = np.random.default_rng(4).standard_normal((30, 3))
+        x[:10] = 0.0
+        p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in x) + "\n")
+        argv = ["compare", "--input", str(p), "--raw", "--no-header", "--lengths"]
+        assert _run(argv + ["30,11"], capsys)[0] == 0
+        status, out, err = _run(argv + ["30,10"], capsys)
+        assert status == 3 and out == "" and "all-zero" in err
 
     def test_nonpositive_price_without_raw_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "neg.csv"

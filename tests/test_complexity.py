@@ -188,6 +188,15 @@ class TestSelectRank:
         with pytest.raises(DomainError, match="does not match"):
             select_rank(x, spectrum=singular_spectrum(x[:-1]))
 
+    def test_shared_spectrum_still_checks_the_matrix(self):
+        x = np.random.default_rng(25).standard_normal((12, 4))
+        spectrum = singular_spectrum(x)
+        with pytest.raises(DomainError, match="does not match"):
+            select_rank(x.ravel(), spectrum=spectrum)
+        x[7, 2] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            select_rank(x, gram_mode="per_row_sum", spectrum=spectrum)
+
     def test_invalid_gram_mode(self):
         with pytest.raises(DomainError):
             select_rank(np.eye(4), gram_mode="mystery")

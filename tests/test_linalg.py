@@ -10,7 +10,13 @@ from mdlrank import (
     tail_energy,
     truncate,
 )
-from mdlrank.linalg import jacobi_svd
+from mdlrank.linalg import (
+    BLOCK_FACTOR,
+    correlation_values,
+    factor_spectrum,
+    jacobi_svd,
+    prefix_factors,
+)
 from helpers import singular_values_by_gram_eig
 
 
@@ -73,14 +79,69 @@ class TestSingularSpectrum:
             singular_spectrum(np.ones((2, 5)))
 
     def test_falls_back_to_jacobi_when_lapack_fails(self, monkeypatch):
+        """Both small SVDs of the R factor fall back to one-sided Jacobi."""
         x = np.random.default_rng(13).standard_normal((8, 3))
+        x[:, 1] *= 2.0**40
+        (factor,) = prefix_factors(x, [8])
+        top = factor.exponent.max()
+        spectrum = jacobi_svd(np.ldexp(factor.r[:-1, :-1], factor.exponent - top)).singular_values
+        u = factor.r[:, -1:] / np.linalg.norm(factor.r[:, -1])
+        centred = factor.r[:, :-1] - u @ (u.T @ factor.r[:, :-1])
+        correlation = jacobi_svd(centred / np.linalg.norm(centred, axis=0)).singular_values ** 2
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        expected = jacobi_svd(x).singular_values
         monkeypatch.setattr(np.linalg, "svd", failing)
-        np.testing.assert_array_equal(singular_spectrum(x).singular_values, expected)
+        np.testing.assert_array_equal(singular_spectrum(x).singular_values, np.ldexp(spectrum, top))
+        np.testing.assert_array_equal(correlation_values(factor), correlation)
+
+
+class TestPrefixFactors:
+    M = 5
+    STEP = BLOCK_FACTOR * (M + 1)
+
+    def test_is_the_r_factor_of_the_scaled_rows(self):
+        x = np.random.default_rng(14).standard_normal((70, self.M)) * [1.0, 1e-9, 1e9, 3.0, 0.5]
+        for factor in prefix_factors(x, [70, 5, 24, 25, 6]):
+            assert factor.r.shape == (self.M + 1, self.M + 1)
+            assert np.array_equal(factor.r, np.triu(factor.r))
+            ones = np.column_stack([np.ldexp(x[: factor.n], -factor.exponent), np.ones(factor.n)])
+            np.testing.assert_allclose(
+                factor.r.T @ factor.r, ones.T @ ones, rtol=0, atol=1e-12 * factor.n
+            )
+
+    def test_yields_sorted_distinct_lengths(self):
+        x = np.random.default_rng(15).standard_normal((60, self.M))
+        assert [f.n for f in prefix_factors(x, [60, 7, 24, 7, 5])] == [5, 7, 24, 60]
+
+    def test_each_prefix_equals_its_own_pass(self):
+        """A prefix's spectra come out bit for bit as when its rows are
+        the whole input, since the grid is counted from the first row."""
+        x = np.random.default_rng(16).standard_normal((100, self.M))
+        # later rows move every column's exponent by 2^2000: scaled by the
+        # exponents of all rows, the earlier ones would underflow to zero
+        x[:60] *= 2.0**-1000
+        x[60:] *= 2.0**1000
+        lengths = [5, 6, self.STEP - 1, self.STEP, self.STEP + 1, 2 * self.STEP + 1, 59, 100]
+        for factor in prefix_factors(x, lengths):
+            (own,) = prefix_factors(x[: factor.n], [factor.n])
+            spectrum, own_spectrum = factor_spectrum(factor), factor_spectrum(own)
+            assert spectrum.n == own_spectrum.n == factor.n
+            assert np.array_equal(spectrum.singular_values, own_spectrum.singular_values)
+            assert np.array_equal(correlation_values(factor), correlation_values(own))
+            assert np.array_equal(factor.constant, own.constant)
+
+    def test_constant_columns_per_prefix(self):
+        x = np.random.default_rng(17).standard_normal((60, self.M))
+        x[:30, 2] = 0.7  # constant over the first 30 rows only
+        flags = {f.n: f.constant.tolist() for f in prefix_factors(x, [10, 30, 31, 60])}
+        assert flags[10] == flags[30] == [False, False, True, False, False]
+        assert flags[31] == flags[60] == [False] * self.M
+
+    def test_rejects_a_prefix_wider_than_tall(self):
+        with pytest.raises(DomainError, match="transpose"):
+            list(prefix_factors(np.ones((20, self.M)), [4, 20]))
 
 
 class TestJacobiSvd:
@@ -102,6 +163,13 @@ class TestJacobiSvd:
         s = jacobi_svd(x)
         assert np.max(np.abs(s.u.T @ s.u - np.eye(3))) <= 1e-10
         np.testing.assert_allclose(s.singular_values[1:], 0.0, atol=1e-12)
+
+    def test_columns_of_equal_norm_rotate(self):
+        x = np.array([[1.0, 0.6], [0.0, 0.8]])  # unit columns, not orthogonal
+        s = jacobi_svd(x)
+        np.testing.assert_allclose(s.singular_values, np.sqrt([1.6, 0.4]), rtol=1e-14)
+        recon = (s.u * s.singular_values) @ s.v.T
+        np.testing.assert_allclose(recon, x, atol=1e-14)
 
     def test_sweep_cap_raises_convergence_error(self):
         rng = np.random.default_rng(0)
