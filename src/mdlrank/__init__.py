@@ -6,12 +6,7 @@ as classical baselines.
 """
 
 from .baselines import kaiser, kneedle, scree
-from .complexity import (
-    ComplexityReport,
-    default_epsilon,
-    score_table,
-    select_rank,
-)
+from .complexity import default_epsilon, score_table, select_rank
 from .datasets import (
     PriceTable,
     SyntheticSpec,
@@ -40,7 +35,6 @@ from .quantization import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexityReport",
     "ConvergenceError",
     "DegenerateInputError",
     "DiscreteModel",

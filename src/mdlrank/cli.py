@@ -100,6 +100,8 @@ def _synthetic(args):
 
 def _load_input(args):
     """Resolve --input/--synthetic into (descriptor, matrix)."""
+    if args.synthetic is not None and args.input is not None:
+        raise UsageError("--input and --synthetic cannot be used together")
     if args.synthetic is not None:
         spec, matrix = _synthetic(args)
         return {"kind": "synthetic", "synthetic": generator_metadata(spec)}, matrix
@@ -198,36 +200,34 @@ def _open_output(path):
     return os.fdopen(fd, "w", encoding="utf-8", newline=""), (temp, target)
 
 
-@contextlib.contextmanager
-def _naming(path):
-    """An OSError on an output file as a usage error that names the file;
-    one on stdout passes through."""
+def _write_outputs(outputs):
+    """Write each (path, write) pair, *write* taking a text stream. A command
+    leaves all of its files or none: every output is opened before any is
+    written, and each new file is moved onto its path once all are written.
+    Two outputs to one file, or both to stdout, are a usage error; an
+    OSError on an output file is one that names the file, while one on
+    stdout passes through."""
+    targets = [None if path in (None, "-") else os.path.realpath(path) for path, _ in outputs]
+    for i, target in enumerate(targets):
+        if target in targets[:i]:
+            first = outputs[targets.index(target)][0]
+            where = "stdout" if target is None else f"one file, {first} and {outputs[i][0]}"
+            raise UsageError(f"two outputs go to {where}")
+    opened = []
     try:
-        yield
+        for path, _ in outputs:
+            opened.append(_open_output(path))
+        for (path, write), (stream, _) in zip(outputs, opened):
+            write(stream)
+            stream.flush()
+        for (path, _), (stream, move) in zip(outputs, opened):
+            if move:
+                stream.close()
+                os.replace(*move)
     except OSError as exc:
         if path in (None, "-"):
             raise
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _write_outputs(outputs):
-    """Write each (path, write) pair, *write* taking a text stream. A command
-    leaves all of its files or none: every output is opened before any is
-    written, and each new file is moved onto its path once all are written."""
-    opened = []
-    try:
-        for path, _ in outputs:
-            with _naming(path):
-                opened.append(_open_output(path))
-        for (path, write), (stream, _) in zip(outputs, opened):
-            with _naming(path):
-                write(stream)
-                stream.flush()
-        for (path, _), (stream, move) in zip(outputs, opened):
-            with _naming(path):
-                if move:
-                    stream.close()
-                    os.replace(*move)
     finally:
         for stream, move in opened:
             if stream is not sys.stdout:
@@ -252,7 +252,7 @@ def _csv(header, rows):
     return write
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> list:
     descriptor, matrix = _load_input(args)
     epsilon = _resolve_epsilon(args.epsilon, matrix.shape[1])
     (factor,) = prefix_factors(matrix, [len(matrix)])
@@ -260,20 +260,18 @@ def cmd_select(args) -> int:
     outputs = [(args.out, _json(out))]
     if args.table is not None:
         outputs.append((args.table, _csv(ScoreTable._fields, (row.values() for row in out["per_k"]))))
-    _write_outputs(outputs)
-    return 0
+    return outputs
 
 
-def cmd_scree(args) -> int:
+def cmd_scree(args) -> list:
     _, matrix = _load_input(args)
     (factor,) = prefix_factors(matrix, [len(matrix)])
     variances = scree(factor_spectrum(factor), normalized=args.normalized)
     rows = enumerate(variances.tolist(), start=1)
-    _write_outputs([(args.out, _csv(["component", "variance"], rows))])
-    return 0
+    return [(args.out, _csv(["component", "variance"], rows))]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list:
     descriptor, matrix = _load_input(args)
     try:
         lengths = [int(tok) for tok in args.lengths.split(",") if tok.strip()]
@@ -297,19 +295,17 @@ def cmd_compare(args) -> int:
         out = _run_report(args, descriptor, matrix[: factor.n], epsilon, factor)
         out["length"] = factor.n
         reports[factor.n] = out
-    _write_outputs([(args.out, _json([reports[length] for length in lengths]))])
-    return 0
+    return [(args.out, _json([reports[length] for length in lengths]))]
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> list:
     spec, matrix = _synthetic(args)
     header = [f"col_{j + 1}" for j in range(spec.m)]
     outputs = [(args.out, _csv(header, (row.tolist() for row in matrix)))]
     if args.out not in (None, "-"):
         sidecar = {**HEADER, "generator": generator_metadata(spec)}
         outputs.append((args.out + ".meta.json", _json(sidecar)))
-    _write_outputs(outputs)
-    return 0
+    return outputs
 
 
 def _add_input_flags(sub):
@@ -387,7 +383,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write_outputs(args.func(args))
     except UsageError as exc:
         print(f"mdlrank: {exc}", file=sys.stderr)
         return 2
@@ -397,6 +393,7 @@ def main(argv=None) -> int:
     except (DomainError, ConvergenceError) as exc:
         print(f"mdlrank: numerical error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

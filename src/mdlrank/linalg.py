@@ -75,7 +75,8 @@ class Factor(NamedTuple):
 
 def prefix_factors(a, lengths):
     """Yield the :class:`Factor` of the prefix of *a*, a checked matrix
-    (:func:`as_matrix`), for each length in [m, n] of ``sorted(set(lengths))``.
+    (:func:`as_matrix`), for each length of ``sorted(set(lengths))``; a
+    length outside [m, n] is a :class:`DomainError`.
 
     Rows are folded into R one block of ``BLOCK_FACTOR * (m + 1)`` rows at
     a time, on a grid counted from the first row, and a prefix folds in its
@@ -85,8 +86,11 @@ def prefix_factors(a, lengths):
     P prefixes of n rows cost O(n m^2 + P m^3).
     """
     ends = sorted(set(lengths))
-    _require_tall(a[: ends[0]], "singular_spectrum")
-    m = a.shape[1]
+    n, m = a.shape
+    for end in (ends[0], ends[-1]):
+        if not 1 <= end <= n:
+            raise DomainError(f"prefix length {end} is outside [1, {n}]")
+    _require_tall(a[: ends[0]], "prefix_factors")
     step = BLOCK_FACTOR * (m + 1)
     blocks = [a[start : start + step] for start in range(0, ends[-1] - step + 1, step)]
     # per column, the least and the greatest entry up to each block's end

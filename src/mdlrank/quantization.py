@@ -12,13 +12,15 @@ jointly optimized parameter is replaced by a fixed one.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 
 ENTRY_SLACK = 1e-12
+# slack within which verify_elimination_sandwich counts a bound as holding
+SANDWICH_TOL = 1e-9
 
 
 def _validate_step(epsilon: float) -> None:
@@ -53,19 +55,17 @@ class QuantizedLoadings:
     e: np.ndarray
 
 
-def quantize(v, epsilon: float, m: Optional[int] = None) -> QuantizedLoadings:
+def quantize(v, epsilon: float) -> QuantizedLoadings:
     """Snap every entry of *v* to the nearest multiple of *epsilon*.
 
     Entries must lie in [-1, 1] (within 1e-12 slack). Exact midpoints round
-    away from zero for determinism. *m* defaults to the row count of *v* and
-    is what the step is validated against.
+    away from zero for determinism. The step is validated against the row
+    count of *v*.
     """
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 2:
         raise DomainError(f"expected a 2-D loadings matrix, got ndim={a.ndim}")
-    if m is None:
-        m = a.shape[0]
-    validate_epsilon(epsilon, m)
+    validate_epsilon(epsilon, a.shape[0])
     if np.max(np.abs(a)) > 1.0 + ENTRY_SLACK:
         raise DomainError(
             f"loadings entries must lie in [-1, 1], max |entry| = {np.max(np.abs(a))}"
@@ -192,9 +192,7 @@ class SandwichCheck:
     slack_lower: float
 
 
-def verify_elimination_sandwich(
-    model: DiscreteModel, b_convention: str = "max", tol: float = 1e-9
-) -> SandwichCheck:
+def verify_elimination_sandwich(model: DiscreteModel, b_convention: str = "max") -> SandwichCheck:
     """Check, by exact enumeration, that the jointly optimized integral is
     sandwiched by the fixed-b integrals:
 
@@ -215,8 +213,8 @@ def verify_elimination_sandwich(
     total = math.fsum(fixed)
     best = max(fixed)
     return SandwichCheck(
-        upper_holds=joint <= total + tol,
-        lower_holds=joint >= best - tol,
+        upper_holds=joint <= total + SANDWICH_TOL,
+        lower_holds=joint >= best - SANDWICH_TOL,
         slack_upper=total - joint,
         slack_lower=joint - best,
     )

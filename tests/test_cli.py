@@ -82,6 +82,11 @@ class TestSelect:
         status, _, err = _run(["select"], capsys)
         assert status == 2 and "--input" in err
 
+    def test_input_with_synthetic_is_usage_error(self, capsys):
+        status, out, err = _run(LIN10 + ["--input", str(bundled_fixture_path())], capsys)
+        assert status == 2 and out == ""
+        assert "--input and --synthetic cannot be used together" in err
+
     def test_invalid_epsilon_is_usage_error(self, capsys):
         # 1e-400 rounds to 0.0; 1/999999999989 has no float with an integer
         # reciprocal; both parse as exact unit fractions
@@ -829,6 +834,35 @@ class TestOutputTargets:
         with pytest.raises(BrokenPipeError):
             main(["select", "--input", self.FIXTURE, "--table", str(tmp_path / "t.csv")])
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCollidingOutputs:
+    """Two outputs that reach one file, by name or through a link, or that
+    both go to stdout, are a usage error raised before any is opened."""
+
+    FIXTURE = str(bundled_fixture_path())
+
+    @pytest.mark.parametrize("linked", [False, True], ids=["same-path", "link"])
+    def test_one_file(self, tmp_path, capsys, linked):
+        table = tmp_path / "r.json"
+        table.write_text("kept\n")
+        out = table
+        if linked:
+            out = tmp_path / "link.json"
+            out.symlink_to(table.name)
+        status, stdout, err = _run(
+            ["select", "--input", self.FIXTURE, "--out", str(out), "--table", str(table)], capsys
+        )
+        assert status == 2 and stdout == ""
+        assert f"two outputs go to one file, {out} and {table}" in err
+        assert table.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({out.name, table.name})
+
+    @pytest.mark.parametrize("out", [["--out", "-"], []], ids=["dash", "default"])
+    def test_both_on_stdout(self, tmp_path, capsys, out):
+        status, stdout, err = _run(["select", "--input", self.FIXTURE, "--table", "-", *out], capsys)
+        assert status == 2 and stdout == ""
+        assert "two outputs go to stdout" in err
 
 
 class TestErrorTaxonomy:

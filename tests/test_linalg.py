@@ -140,8 +140,15 @@ class TestPrefixFactors:
         assert flags[31] == flags[60] == [False] * self.M
 
     def test_rejects_a_prefix_wider_than_tall(self):
-        with pytest.raises(DomainError, match="transpose"):
+        with pytest.raises(DomainError, match="transpose") as exc:
             list(prefix_factors(np.ones((20, self.M)), [4, 20]))
+        assert "singular_spectrum" not in str(exc.value)
+
+    @pytest.mark.parametrize("lengths", [[60], [-5], [0, 20], [10, 51]])
+    def test_rejects_a_length_outside_the_rows(self, lengths):
+        x = np.random.default_rng(18).standard_normal((50, self.M))
+        with pytest.raises(DomainError, match=r"outside \[1, 50\]"):
+            list(prefix_factors(x, lengths))
 
 
 class TestJacobiSvd:

@@ -35,15 +35,15 @@ class TestValidateEpsilon:
 
 class TestQuantize:
     def test_nearest_multiple(self):
-        q = quantize(np.array([[0.123]]), 0.05, m=10)
+        q = quantize(np.array([[0.123]]), 0.05)
         assert q.v_eps[0, 0] == pytest.approx(0.10, abs=1e-15)
 
     def test_grid_point_maps_to_itself(self):
-        q = quantize(np.array([[0.15]]), 0.05, m=10)
+        q = quantize(np.array([[0.15]]), 0.05)
         assert q.v_eps[0, 0] == pytest.approx(0.15, abs=1e-15)
 
     def test_midpoint_rounds_away_from_zero(self):
-        q = quantize(np.array([[0.125], [-0.125]]), 1 / 4, m=3)
+        q = quantize(np.array([[0.125], [-0.125]]), 1 / 4)
         assert q.v_eps[0, 0] == pytest.approx(0.25, abs=1e-15)
         assert q.v_eps[1, 0] == pytest.approx(-0.25, abs=1e-15)
 
@@ -70,7 +70,7 @@ class TestQuantize:
 
     def test_rejects_entries_outside_unit_box(self):
         with pytest.raises(DomainError):
-            quantize(np.array([[1.1]]), 0.05, m=10)
+            quantize(np.array([[1.1]]), 0.05)
 
     def test_rejects_invalid_step(self):
         with pytest.raises(DomainError):

@@ -1,14 +1,19 @@
-"""README and pyproject stay in step with the package: the names README
-lists as the package root's exports are exactly ``mdlrank.__all__``, every
-flag its command-line section names is a CLI option, and the version and
-schema version it states are the ones the code reports."""
+"""README, pyproject and the shipped schema stay in step with the package:
+the names README lists as the package root's exports are exactly
+``mdlrank.__all__``, every flag its command-line section names is a CLI
+option, the version and schema version it states are the ones the code
+reports, and the schema pins the schema version, gram modes and per-k
+columns the code writes."""
 
 import argparse
+import importlib.resources
+import json
 import re
 from pathlib import Path
 
 import mdlrank
 from mdlrank.cli import SCHEMA_VERSION, build_parser
+from mdlrank.complexity import GRAM_MODES, ScoreTable
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -46,3 +51,11 @@ def test_pyproject_version_is_the_package_version():
 def test_readme_schema_version_is_the_reports():
     text = README.read_text(encoding="utf-8")
     assert re.findall(r"schema_version (\d+)", text) == [str(SCHEMA_VERSION)]
+
+
+def test_schema_pins_what_the_code_writes():
+    ref = importlib.resources.files("mdlrank") / "schemas" / "run_report.schema.json"
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    assert schema["properties"]["schema_version"]["const"] == SCHEMA_VERSION
+    assert schema["$defs"]["gram_mode"]["enum"] == list(GRAM_MODES)
+    assert schema["$defs"]["per_k"]["items"]["required"] == list(ScoreTable._fields)
