@@ -144,10 +144,7 @@ def _selection_block(matrix, spectrum, epsilon, gram_mode):
     report = select_rank(matrix, epsilon=epsilon, gram_mode=gram_mode, spectrum=spectrum)
     return {
         "gram_mode": gram_mode,
-        "per_k": [
-            dict(zip(ScoreTable._fields, row))
-            for row in zip(*(column.tolist() for column in report.per_k))
-        ],
+        "per_k": report.per_k,
         "k_lower_opt": report.k_lower_opt,
         "k_upper_opt": report.k_upper_opt,
         "k_bracket": list(report.k_bracket),
@@ -200,23 +197,40 @@ def _open_output(path):
     return os.fdopen(fd, "w", encoding="utf-8", newline=""), (temp, target)
 
 
+def _identity(path):
+    """What output *path* names: the (device, inode) of an existing file, or
+    of stdout's descriptor for None or "-"; the resolved path of a file not
+    made yet; and "stdout" when stdout has no descriptor."""
+    to_stdout = path in (None, "-")
+    try:
+        info = os.fstat(sys.stdout.fileno()) if to_stdout else os.stat(path)
+    except (OSError, ValueError):
+        return "stdout" if to_stdout else os.path.realpath(path)
+    return info.st_dev, info.st_ino
+
+
 def _write_outputs(outputs):
     """Write each (path, write) pair, *write* taking a text stream. A command
     leaves all of its files or none: every output is opened before any is
     written, and each new file is moved onto its path once all are written.
-    Two outputs to one file, or both to stdout, are a usage error; an
-    OSError on an output file is one that names the file, while one on
-    stdout passes through."""
-    targets = [None if path in (None, "-") else os.path.realpath(path) for path, _ in outputs]
-    for i, target in enumerate(targets):
-        if target in targets[:i]:
-            first = outputs[targets.index(target)][0]
-            where = "stdout" if target is None else f"one file, {first} and {outputs[i][0]}"
+    Two outputs that name one file, stdout among them (so /dev/stdout and
+    "-" collide), are a usage error, and a path to the file open on stdout
+    is written through stdout, so a file stdout appends to is not replaced.
+    An OSError on an output file is a usage error that names the file,
+    while one on stdout passes through."""
+    paths = [path for path, _ in outputs]
+    identities = [_identity(path) for path in paths]
+    for i, identity in enumerate(identities):
+        if identity in identities[:i]:
+            first, second = paths[identities.index(identity)], paths[i]
+            on_stdout = first in (None, "-") or second in (None, "-")
+            where = "stdout" if on_stdout else f"one file, {first} and {second}"
             raise UsageError(f"two outputs go to {where}")
     opened = []
     try:
-        for path, _ in outputs:
-            opened.append(_open_output(path))
+        stdout = _identity(None)
+        for path, identity in zip(paths, identities):
+            opened.append(_open_output(None if identity == stdout else path))
         for (path, write), (stream, _) in zip(outputs, opened):
             write(stream)
             stream.flush()
@@ -237,8 +251,54 @@ def _write_outputs(outputs):
                 os.remove(move[0])
 
 
+# json.dumps(leaf, allow_nan=False) without a new encoder per leaf
+_leaf = json.JSONEncoder(allow_nan=False).encode
+
+
+def _tokens(column):
+    """The JSON text of each cell of one score column: ints and floats by
+    their repr, as json writes them, booleans as true/false and None as
+    null. A non-finite float raises json's own ValueError."""
+    values = column.tolist()
+    kind = column.dtype.kind
+    if kind == "b":
+        return ["true" if value else "false" for value in values]
+    if kind == "i":
+        return list(map(int.__repr__, values))
+    if kind == "f":
+        tokens = list(map(float.__repr__, values))
+    else:  # an object column: floats, and None where a value is undefined
+        tokens = ["null" if value is None else float.__repr__(value) for value in values]
+    for bad in ("nan", "inf", "-inf"):
+        if bad in tokens:
+            _leaf(float(bad))
+    return tokens
+
+
+def _encode(value, pad=""):
+    """The text of json.dumps(value, indent=2, allow_nan=False) for string
+    keys, reading a ScoreTable as its list of row dicts: a table is written
+    through one row template from its columns, with no dict per row, and
+    every other leaf through json itself. *pad* is the indent of the line
+    *value* starts on."""
+    inner = pad + "  "
+    if isinstance(value, ScoreTable):
+        fields = ",\n".join(f"{inner}  {_leaf(name)}: {{}}" for name in value._fields)
+        row = inner + "{{\n" + fields + "\n" + inner + "}}"  # braces doubled for format
+        items, brackets = map(row.format, *map(_tokens, value)), "[]"
+    elif isinstance(value, dict):
+        items = (f"{inner}{_leaf(key)}: {_encode(item, inner)}" for key, item in value.items())
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = (inner + _encode(item, inner) for item in value), "[]"
+    else:
+        return _leaf(value)
+    body = ",\n".join(items)
+    return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}" if body else brackets
+
+
 def _json(payload):
-    return lambda stream: stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    return lambda stream: stream.write(_encode(payload) + "\n")
 
 
 def _csv(header, rows):
@@ -259,7 +319,8 @@ def cmd_select(args) -> list:
     out = _run_report(args, descriptor, matrix, epsilon, factor)
     outputs = [(args.out, _json(out))]
     if args.table is not None:
-        outputs.append((args.table, _csv(ScoreTable._fields, (row.values() for row in out["per_k"]))))
+        rows = zip(*(column.tolist() for column in out["per_k"]))
+        outputs.append((args.table, _csv(ScoreTable._fields, rows)))
     return outputs
 
 

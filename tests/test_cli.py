@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mdlrank import cli
 from mdlrank.cli import main
+from mdlrank.complexity import ScoreTable
 from mdlrank.datasets import bundled_fixture_path
 from helpers import full_gram_totals, kaiser_counts
 
@@ -197,6 +199,130 @@ class TestSelect:
         _, out, _ = _run(LIN10, capsys)
         report = json.loads(out)
         assert json.loads(json.dumps(report)) == report
+
+
+def _expanded(value):
+    """*value* with each ScoreTable turned into its list of row dicts, the
+    form json.dumps writes."""
+    if isinstance(value, ScoreTable):
+        return [dict(zip(ScoreTable._fields, row)) for row in zip(*(c.tolist() for c in value))]
+    if isinstance(value, dict):
+        return {key: _expanded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_expanded(item) for item in value]
+    return value
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(1 - 1e-9, 1 + 1e-9),
+)
+
+
+@st.composite
+def score_tables(draw):
+    """A ScoreTable of 1-40 rows: int k, seven float columns, a gap-ratio
+    column of floats and None, and a boolean floored column."""
+    rows = draw(st.integers(1, 40))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=rows, max_size=rows))
+
+    floats = [np.array(column(FLOATS), dtype=np.float64) for _ in range(7)]
+    gap = np.array(column(st.none() | FLOATS), dtype=object)
+    floored = np.array(column(st.booleans()), dtype=bool)
+    return ScoreTable(np.arange(1, rows + 1), *floats, gap, floored)
+
+
+def _nested(depth):
+    """Payloads nested up to *depth* containers deep: score tables beside
+    strings that need escaping, ints, floats, None and empty containers."""
+    node = st.one_of(
+        score_tables(),
+        st.text(),
+        st.sampled_from(['"', "\\", "\n\t\x00", "\u2028", "\ud800", "é"]),
+        st.integers(),
+        FLOATS,
+        st.none(),
+        st.booleans(),
+        st.just({}),
+        st.just([]),
+    )
+    for _ in range(depth):
+        node = st.one_of(
+            node,
+            st.lists(node, max_size=3),
+            st.dictionaries(st.text(), node, max_size=3),
+        )
+    return node
+
+
+class TestEncode:
+    """cli._encode writes exactly the bytes of json.dumps(indent=2), with
+    each ScoreTable written as its list of row dicts."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(payload=st.integers(0, 3).flatmap(_nested))
+    def test_equals_indented_json(self, payload):
+        assert cli._encode(payload) == json.dumps(_expanded(payload), indent=2, allow_nan=False)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        table=score_tables(),
+        column=st.sampled_from(ScoreTable._fields[1:9]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        data=st.data(),
+    )
+    def test_non_finite_cell_raises_as_json_does(self, table, column, bad, data):
+        cells = getattr(table, column)
+        cells[data.draw(st.integers(0, len(cells) - 1), label="row")] = bad
+        payload = {"per_k": table}
+        with pytest.raises(ValueError):
+            json.dumps(_expanded(payload), indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            cli._encode(payload)
+
+
+class TestReportBytes:
+    """Reports of an exactly low-rank input, whose tails are floored, are
+    the bytes json.dumps(indent=2) gives, and the --table rows are the
+    JSON per_k rows."""
+
+    @pytest.fixture
+    def low_rank(self, tmp_path):
+        rng = np.random.default_rng(2)
+        x = np.zeros((40, 6))
+        x[:, :2] = rng.integers(-9, 10, (40, 2))  # rank 2, the other tails exactly 0
+        path = tmp_path / "rank2.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+        return ["--input", str(path), "--raw", "--no-header", "--both-gram-modes", "--reproducible"]
+
+    @staticmethod
+    def _blocks(report):
+        return [report["per_k"], report["alt"]["per_k"]]
+
+    def test_select_and_table(self, tmp_path, capsys, low_rank):
+        table = tmp_path / "table.csv"
+        status, out, err = _run(["select", *low_rank, "--table", str(table)], capsys)
+        assert status == 0, err
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert all(any(row["floored"] for row in rows) for rows in self._blocks(report))
+        with table.open(newline="") as fh:
+            header, *cells = csv.reader(fh)
+        assert header == list(ScoreTable._fields)
+        assert cells == [
+            ["" if v is None else str(v) for v in row.values()] for row in report["per_k"]
+        ]
+
+    def test_compare(self, capsys, low_rank):
+        status, out, err = _run(["compare", *low_rank, "--lengths", "40,6,25"], capsys)
+        assert status == 0, err
+        reports = json.loads(out)
+        assert out == json.dumps(reports, indent=2) + "\n"
+        for report in reports:
+            assert all(any(row["floored"] for row in rows) for rows in self._blocks(report))
 
 
 def _write_gaussian_csv(path, scale):
@@ -506,6 +632,26 @@ class TestCompare:
             picks.append([{key: r[key] for key in keys} for r in json.loads(proc.stdout)])
         assert picks[0] == picks[1]
         assert [p["length"] for p in picks[0]] == [259, 30, 100]
+
+    def test_peak_memory_is_bounded_by_the_report(self, tmp_path):
+        """Each report is encoded from its score columns, with no dict per
+        per-k row, so 75 prefixes peak at a few times the report's size."""
+        rng = np.random.default_rng(8)
+        prices = 100 * np.exp(np.cumsum(0.01 * rng.standard_normal((801, 20)), axis=0))
+        path = tmp_path / "prices.csv"
+        path.write_text("".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in prices))
+        report = tmp_path / "r.json"
+        argv = ["compare", "--input", str(path), "--no-header", "--reproducible",
+                "--lengths", ",".join(map(str, range(60, 800, 10))), "--out", str(report)]
+        assert main(argv) == 0  # warm any lazy imports out of the measurement
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak <= 4 * report.stat().st_size
 
     def test_bad_lengths_are_usage_errors(self, capsys):
         base = ["compare", "--synthetic", "lin", "--n", "50", "--m", "4", "--true-k", "2"]
@@ -863,6 +1009,44 @@ class TestCollidingOutputs:
         status, stdout, err = _run(["select", "--input", self.FIXTURE, "--table", "-", *out], capsys)
         assert status == 2 and stdout == ""
         assert "two outputs go to stdout" in err
+
+    @staticmethod
+    def _appending_to(path, argv):
+        """Run the CLI in a new process whose stdout appends to *path*."""
+        with open(path, "a", encoding="utf-8") as stdout:
+            return subprocess.run(
+                [sys.executable, "-m", "mdlrank.cli", *argv], stdout=stdout,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize(
+        "flags",
+        [["--table", "/dev/stdout"], ["--out", "/dev/stdout", "--table", "-"]],
+        ids=["table", "out"],
+    )
+    def test_stdout_named_by_path(self, tmp_path, flags):
+        """/dev/stdout is the file stdout is open on, so it collides with
+        stdout: nothing is written and no new file is left beside it."""
+        both = tmp_path / "both.txt"
+        both.write_text("kept\n")
+        proc = self._appending_to(both, ["select", "--input", self.FIXTURE, "--reproducible", *flags])
+        assert proc.returncode == 2
+        assert "two outputs go to stdout" in proc.stderr
+        assert both.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["both.txt"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_stdout_file_is_appended_to_not_replaced(self, tmp_path, capsys):
+        """A path to the file stdout appends to is written through stdout."""
+        log = tmp_path / "log.txt"
+        log.write_text("kept\n")
+        proc = self._appending_to(log, ["scree", "--input", self.FIXTURE, "--out", "/dev/stdout"])
+        assert proc.returncode == 0, proc.stderr
+        status, scree, _ = _run(["scree", "--input", self.FIXTURE], capsys)
+        assert status == 0
+        assert log.read_text() == "kept\n" + scree
+        assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
 
 
 class TestErrorTaxonomy:
