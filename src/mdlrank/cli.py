@@ -12,6 +12,7 @@ import datetime
 import json
 import math
 import os
+import re
 import stat
 import sys
 from fractions import Fraction
@@ -180,11 +181,8 @@ def _open_output(path):
     """A text stream for *path*, and the (new, final) pair of paths to move
     once every output is written, or None. A missing or regular file,
     through any links, gets a new file of its own beside it, made with
-    O_EXCL and with the mode of the file it replaces; stdout (None or "-")
-    and any other existing path, such as a device or a FIFO, are written
-    as they are."""
-    if path in (None, "-"):
-        return sys.stdout, None
+    O_EXCL and with the mode of the file it replaces; any other existing
+    path, such as a device or a FIFO, is written as it is."""
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -197,16 +195,57 @@ def _open_output(path):
     return os.fdopen(fd, "w", encoding="utf-8", newline=""), (temp, target)
 
 
-def _identity(path):
-    """What output *path* names: the (device, inode) of an existing file, or
-    of stdout's descriptor for None or "-"; the resolved path of a file not
-    made yet; and "stdout" when stdout has no descriptor."""
-    to_stdout = path in (None, "-")
+# paths that name an open descriptor of this process rather than a file
+_DESCRIPTOR_PATH = re.compile(r"/(?:dev/fd|proc/self/fd)/(\d+)")
+_STANDARD_PATHS = {"/dev/stdin": 0, "/dev/stdout": 1, "/dev/stderr": 2}
+
+
+def _standard_stream(fd):
+    return {1: sys.stdout, 2: sys.stderr}.get(fd)
+
+
+def _descriptor_identity(fd):
+    """The (device, inode) of the file open on descriptor *fd*, read through
+    sys.stdout or sys.stderr for 1 and 2, or "fd N" when there is none (a
+    closed descriptor, or a stream without one, as under pytest's capsys)."""
+    stream = _standard_stream(fd)
     try:
-        info = os.fstat(sys.stdout.fileno()) if to_stdout else os.stat(path)
+        info = os.fstat(stream.fileno() if stream else fd)
     except (OSError, ValueError):
-        return "stdout" if to_stdout else os.path.realpath(path)
+        return f"fd {fd}"
     return info.st_dev, info.st_ino
+
+
+def _target(path):
+    """(descriptor, identity) of output *path*. The descriptor is 1 for None
+    or "-", the one a path under /dev/fd/ or /proc/self/fd/ names (or
+    /dev/stdin, /dev/stdout, /dev/stderr), 1 or 2 for a path to the file
+    stdout or stderr is open on, and None for any other path, which is
+    opened as a file. The identity is the (device, inode) of the file
+    written, or the resolved path of a file not made yet."""
+    if path in (None, "-"):
+        fd = 1
+    else:
+        named = _DESCRIPTOR_PATH.fullmatch(path)
+        fd = int(named.group(1)) if named else _STANDARD_PATHS.get(path)
+    if fd is not None:
+        return fd, _descriptor_identity(fd)
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):
+        return None, os.path.realpath(path)
+    identity = info.st_dev, info.st_ino
+    for fd in (1, 2):
+        if identity == _descriptor_identity(fd):
+            return fd, identity
+    return None, identity
+
+
+def _open_descriptor(fd):
+    """A text stream on descriptor *fd*: sys.stdout or sys.stderr for 1 and
+    2, else a stream on a duplicate of it, which shares its offset and
+    append mode and can be closed without closing *fd*."""
+    return _standard_stream(fd) or os.fdopen(os.dup(fd), "w", encoding="utf-8", newline="")
 
 
 def _write_outputs(outputs):
@@ -214,12 +253,15 @@ def _write_outputs(outputs):
     leaves all of its files or none: every output is opened before any is
     written, and each new file is moved onto its path once all are written.
     Two outputs that name one file, stdout among them (so /dev/stdout and
-    "-" collide), are a usage error, and a path to the file open on stdout
-    is written through stdout, so a file stdout appends to is not replaced.
-    An OSError on an output file is a usage error that names the file,
-    while one on stdout passes through."""
+    "-" collide), are a usage error. A path that names an open descriptor
+    (/dev/stderr, /dev/fd/N, /proc/self/fd/N) or the file stdout or stderr
+    is open on is written through that descriptor and never staged, so a
+    file a descriptor appends to is not replaced. An OSError on an output
+    file is a usage error that names the file, while one on stdout passes
+    through."""
     paths = [path for path, _ in outputs]
-    identities = [_identity(path) for path in paths]
+    targets = [_target(path) for path in paths]
+    identities = [identity for _, identity in targets]
     for i, identity in enumerate(identities):
         if identity in identities[:i]:
             first, second = paths[identities.index(identity)], paths[i]
@@ -228,9 +270,8 @@ def _write_outputs(outputs):
             raise UsageError(f"two outputs go to {where}")
     opened = []
     try:
-        stdout = _identity(None)
-        for path, identity in zip(paths, identities):
-            opened.append(_open_output(None if identity == stdout else path))
+        for path, (fd, _) in zip(paths, targets):
+            opened.append(_open_output(path) if fd is None else (_open_descriptor(fd), None))
         for (path, write), (stream, _) in zip(outputs, opened):
             write(stream)
             stream.flush()
@@ -244,7 +285,7 @@ def _write_outputs(outputs):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         for stream, move in opened:
-            if stream is not sys.stdout:
+            if stream not in (sys.stdout, sys.stderr):
                 with contextlib.suppress(OSError):
                     stream.close()
             if move and os.path.lexists(move[0]):

@@ -167,7 +167,9 @@ def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
     energy, since n*k times that mean equals the sum; a row energy below
     TAIL_FLOOR (a zero row) is floored. The row energies are taken a grid
     block of rows at a time, so no n x m copy is made, and each block's
-    entries are checked finite as they are read.
+    entries are checked finite as they are read. Each block is read as a
+    row-major copy, since numpy sums a row in an order that depends on its
+    memory layout; so the energies do not depend on the layout of *x*.
     """
     if gram_mode == "full_gram":
         scaled, exponent = binary_scaled(spectrum.singular_values)
@@ -175,9 +177,10 @@ def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
     step = BLOCK_FACTOR * (x.shape[1] + 1)
     log_rows = []
     for start in range(0, len(x), step):
-        if not np.isfinite(x[start : start + step]).all():
+        block = np.ascontiguousarray(x[start : start + step])
+        if not np.isfinite(block).all():
             raise DomainError("matrix entries must be finite (NaN/Inf rejected)")
-        scaled, exponent = binary_scaled(x[start : start + step], axis=1)
+        scaled, exponent = binary_scaled(block, axis=1)
         scaled *= scaled  # a fresh array: square in place
         with np.errstate(divide="ignore"):
             log_rows.append(np.log(np.sum(scaled, axis=1)) + 2 * LN2 * exponent[:, 0])

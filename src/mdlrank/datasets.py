@@ -98,20 +98,23 @@ def generate_lin(spec: SyntheticSpec) -> np.ndarray:
     """Generate the planted-rank matrix described by *spec*.
 
     The sources are i.i.d. standard normal from the seeded generator. The
-    same spec always produces the bit-identical matrix.
+    same spec always produces the bit-identical matrix. It is column-major
+    (Fortran order), so each column is written where it is made.
     """
     rng = np.random.default_rng(spec.seed)
     sources = rng.standard_normal((spec.n, spec.true_k))
     # filled column by column in place, so the matrix is held only once
-    x = np.empty((spec.n, spec.m))
+    x = np.empty((spec.n, spec.m), order="F")
     x[:, : spec.true_k] = sources
     # finite but huge mix bounds can carry a mixture past the float64 range
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(spec.true_k, spec.m):
             coeffs = rng.uniform(spec.mix_low, spec.mix_high, size=spec.true_k)
             noise = rng.normal(0.0, spec.noise_sigma, size=spec.n)
-            x[:, j] = sources @ coeffs + noise
-            if not np.isfinite(x[:, j]).all():
+            col = x[:, j]
+            np.dot(sources, coeffs, out=col)
+            col += noise
+            if not np.isfinite(col).all():
                 raise DomainError(
                     f"mixed column {j + 1} leaves the float64 range with mix range "
                     f"[{spec.mix_low}, {spec.mix_high}]"

@@ -113,10 +113,11 @@ def _fold(r, exponent, rows, peak):
     """The R factor of *r* stacked on ``[rows | 1]``, and its column
     exponents, those of the magnitudes *peak*. The columns of *r* move from
     *exponent* onto them first, which is exact, as Householder QR commutes
-    with power-of-two column scaling. Zero rows pad the stack to m + 1."""
+    with power-of-two column scaling. Zero rows pad the stack to m + 1.
+    The stack is column-major, the layout LAPACK factors in place."""
     new = np.frexp(peak)[1]
     top, m = len(r), len(peak)
-    stacked = np.zeros((max(top + len(rows), m + 1), m + 1))
+    stacked = np.zeros((max(top + len(rows), m + 1), m + 1), order="F")
     np.ldexp(r[:, :-1], exponent - new, out=stacked[:top, :-1])
     stacked[:top, -1] = r[:, -1]
     np.ldexp(rows, -new, out=stacked[top : top + len(rows), :-1])

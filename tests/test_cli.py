@@ -764,6 +764,27 @@ class TestGenerate:
         report = json.loads(out)
         assert report["k_bracket"][0] <= 2 <= report["k_bracket"][1]
 
+    def test_result_does_not_depend_on_how_the_matrix_was_made(self, tmp_path, capsys):
+        """--synthetic analyses the generator's column-major matrix, --raw
+        --input a row-major one parsed from its CSV; on this spec numpy sums
+        a column-major row of it in another order. The selections, the
+        baselines and the alternative gram mode agree as JSON text."""
+        spec = ["--n", "500", "--m", "30", "--true-k", "5", "--seed", "5"]
+        path = tmp_path / "lin.csv"
+        assert main(["generate", *spec, "--out", str(path)]) == 0
+        keys = ("per_k", "k_lower_opt", "k_upper_opt", "k_bracket", "baselines", "alt")
+        flags = ["--both-gram-modes", "--reproducible"]
+        for command in (["select"], ["compare", "--lengths", "500,30,123,124,125,248,311"]):
+            texts = []
+            for source in (["--synthetic", "lin", *spec], ["--raw", "--input", str(path)]):
+                status, out, err = _run([*command, *source, *flags], capsys)
+                assert status == 0, err
+                reports = json.loads(out)
+                for report in reports if isinstance(reports, list) else [reports]:
+                    texts.append(json.dumps({key: report[key] for key in keys}, indent=2))
+            half = len(texts) // 2
+            assert texts[:half] == texts[half:]
+
     def test_invalid_spec_is_usage_error(self, capsys):
         status, _, err = _run(
             ["generate", "--kind", "lin", "--n", "10", "--m", "4", "--true-k", "9"], capsys
@@ -1047,6 +1068,50 @@ class TestCollidingOutputs:
         assert status == 0
         assert log.read_text() == "kept\n" + scree
         assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
+
+    @pytest.mark.parametrize(
+        "path",
+        ["/dev/stderr", "/dev/fd/2", "/proc/self/fd/2", "{log}", "/dev/fd/{fd}", "/proc/self/fd/{fd}"],
+        ids=["dev-stderr", "dev-fd-2", "proc-fd-2", "stderr-file", "dev-fd-n", "proc-fd-n"],
+    )
+    def test_descriptor_file_is_appended_to_not_replaced(self, tmp_path, capsys, path):
+        """A path that names an open descriptor, or the file stderr appends
+        to, is written through that descriptor: the file keeps its earlier
+        lines and no new file is staged beside it."""
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            pytest.skip(f"no {os.path.dirname(path)}")
+        log = tmp_path / "err.log"
+        log.write_text("kept\n")
+        with open(log, "a", encoding="utf-8") as err, open(log, "a", encoding="utf-8") as extra:
+            out = path.format(log=log, fd=extra.fileno())
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdlrank.cli", "scree", "--input", self.FIXTURE, "--out", out],
+                stdout=subprocess.PIPE, stderr=err, pass_fds=(extra.fileno(),), text=True, timeout=120,
+            )
+        assert proc.returncode == 0 and proc.stdout == ""
+        status, scree, _ = _run(["scree", "--input", self.FIXTURE], capsys)
+        assert status == 0
+        assert log.read_text() == "kept\n" + scree
+        assert [p.name for p in tmp_path.iterdir()] == ["err.log"]
+
+    # a descriptor the child does not have open, and one open read-only
+    @pytest.mark.parametrize("path", ["/dev/fd/987", "/dev/stdin"], ids=["closed", "read-only"])
+    def test_unwritable_descriptor_is_a_usage_error(self, tmp_path, path):
+        """The file behind the descriptor is not opened anew and replaced."""
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        data = tmp_path / "in.txt"
+        data.write_text("kept\n")
+        with open(data, encoding="utf-8") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdlrank.cli", "scree", "--input", self.FIXTURE,
+                 "--out", path],
+                stdin=stdin, capture_output=True, text=True, timeout=120,
+            )
+        assert proc.returncode == 2 and f"cannot write {path}" in proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert data.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
 
 
 class TestErrorTaxonomy:

@@ -311,3 +311,45 @@ def test_row_and_column_permutation_invariance(seed, gram_mode, data):
         rep = select_rank(moved, gram_mode=gram_mode)
         assert (rep.k_lower_opt, rep.k_upper_opt) == (base.k_lower_opt, base.k_upper_opt)
         np.testing.assert_allclose(_totals(rep), _totals(base), rtol=1e-12)
+
+
+def _column_sliced(x, order):
+    """*x* as every other column of a twice-as-wide array in *order*."""
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]), order=order)
+    wide[:, ::2] = x
+    return wide[:, ::2]
+
+
+LAYOUTS = {
+    "row-major": np.ascontiguousarray,
+    "column-major": np.asfortranarray,
+    "column-sliced": lambda x: _column_sliced(x, "C"),
+    "column-major-sliced": lambda x: _column_sliced(x, "F"),
+}
+
+
+def _assert_scores_ignore_layout(x, gram_mode):
+    """Every score column of each layout of *x* equals the row-major one's."""
+    reference = select_rank(np.ascontiguousarray(x), gram_mode=gram_mode).per_k
+    for layout, copy in LAYOUTS.items():
+        table = select_rank(copy(x), gram_mode=gram_mode).per_k
+        for name, got, want in zip(ScoreTable._fields, table, reference):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (layout, name)
+
+
+class TestMemoryLayout:
+    """The scores are a function of the matrix's values alone: a row-major,
+    a column-major and a column-sliced copy give bit-identical columns."""
+
+    def test_per_row_sum_of_a_column_major_synthetic_matrix(self):
+        """numpy sums a column-major row in another order; on this matrix
+        that moved the last bit of the gram term."""
+        x = generate_lin(SyntheticSpec(n=500, m=30, true_k=5, seed=5))
+        _assert_scores_ignore_layout(x, "per_row_sum")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40), extra_rows=st.integers(0, 200))
+    def test_score_columns_do_not_depend_on_layout(self, seed, m, extra_rows):
+        x = _gaussian(seed, m + extra_rows, m)
+        for gram_mode in ("full_gram", "per_row_sum"):
+            _assert_scores_ignore_layout(x, gram_mode)

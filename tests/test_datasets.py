@@ -114,6 +114,51 @@ class TestGenerateLin:
             with pytest.raises(DomainError):
                 SyntheticSpec(n=10, m=4, true_k=2, **bad)
 
+    @staticmethod
+    def _recipe(spec):
+        """The documented recipe on a row-major array, with NaN/Inf kept: the
+        sources, then for each mixed column its coefficients and its noise,
+        all drawn from one PCG64 stream in that order."""
+        rng = np.random.default_rng(spec.seed)
+        sources = rng.standard_normal((spec.n, spec.true_k))
+        x = np.empty((spec.n, spec.m))
+        x[:, : spec.true_k] = sources
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(spec.true_k, spec.m):
+                coeffs = rng.uniform(spec.mix_low, spec.mix_high, size=spec.true_k)
+                noise = rng.normal(0.0, spec.noise_sigma, size=spec.n)
+                x[:, j] = sources @ coeffs + noise
+        return x
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(n=500, m=30, true_k=5, seed=5),
+            SyntheticSpec(n=40, m=6, true_k=6, seed=3),
+            SyntheticSpec(n=60, m=9, true_k=3, noise_sigma=0.0, seed=11),
+            SyntheticSpec(n=80, m=12, true_k=4, noise_sigma=2.5, mix_low=-3.0, mix_high=5.0, seed=2),
+            SyntheticSpec(n=1, m=4, true_k=1, mix_low=0.5, mix_high=0.5, seed=8),
+            SyntheticSpec(n=2000, m=40, true_k=10, seed=2),
+        ],
+        ids=["default", "all-sources", "noiseless", "mix-range", "one-row", "tall"],
+    )
+    def test_follows_the_documented_recipe_bit_for_bit(self, spec):
+        """The matrix is column-major, and equal bit for bit to the recipe
+        built on a row-major array."""
+        x = generate_lin(spec)
+        assert x.flags.f_contiguous
+        assert np.array_equal(x, self._recipe(spec))
+
+    def test_mix_overflow_names_the_first_bad_column(self):
+        spec = SyntheticSpec(n=5, m=8, true_k=2, mix_low=-1e308, mix_high=0.0, seed=3)
+        finite = np.isfinite(self._recipe(spec)).all(axis=0)
+        first = int(np.argmin(finite)) + 1
+        assert not finite.all() and first > spec.true_k + 1  # not just the first mixed column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^mixed column {first} leaves the float64 range"):
+                generate_lin(spec)
+
     def test_metadata_records_generator_identity(self):
         spec = SyntheticSpec(n=10, m=4, true_k=2, seed=9)
         meta = datasets.generator_metadata(spec)
