@@ -9,10 +9,10 @@ import argparse
 import contextlib
 import csv
 import datetime
+import errno
 import json
 import math
 import os
-import re
 import stat
 import sys
 from fractions import Fraction
@@ -177,112 +177,108 @@ def _run_report(args, descriptor, matrix, epsilon, factor):
     return out
 
 
-def _open_output(path):
-    """A text stream for *path*, and the (new, final) pair of paths to move
-    once every output is written, or None. A missing or regular file,
-    through any links, gets a new file of its own beside it, made with
-    O_EXCL and with the mode of the file it replaces; any other existing
-    path, such as a device or a FIFO, is written as it is."""
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = stat.S_IFREG | 0o666
-    if not stat.S_ISREG(mode):
-        return open(path, "w", encoding="utf-8", newline=""), None
-    target = os.path.realpath(path)
-    temp = f"{target}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, stat.S_IMODE(mode))
-    return os.fdopen(fd, "w", encoding="utf-8", newline=""), (temp, target)
+# the directories whose numbered entries are this process's open descriptors
+_DESCRIPTOR_DIRS = ("/dev/fd", "/proc/self/fd", "/proc/thread-self/fd")
 
 
-# paths that name an open descriptor of this process rather than a file
-_DESCRIPTOR_PATH = re.compile(r"/(?:dev/fd|proc/self/fd)/(\d+)")
-_STANDARD_PATHS = {"/dev/stdin": 0, "/dev/stdout": 1, "/dev/stderr": 2}
+def _resolve(path):
+    """(path, descriptor, identity, mode) of output *path*, stat-ed once.
 
+    The descriptor is 1 for None or "-", the one a path names (by where
+    its directory resolves to, however it is spelled), 1 or 2 for a path to
+    the file stdout or stderr is open on, and None for any other path. The
+    identity is the (device, inode) the output reaches, or the resolved
+    path of a file not made yet, or "fd N" for a descriptor with no file.
+    The mode is the permission bits of the new file staged for a missing or
+    regular file, and None for an output written in place. A path that
+    cannot be stat-ed for any reason but its absence is a usage error."""
+    streams = {1: sys.stdout, 2: sys.stderr}
 
-def _standard_stream(fd):
-    return {1: sys.stdout, 2: sys.stderr}.get(fd)
+    def identity(fd):
+        # 1 and 2 through sys.stdout and sys.stderr (None if closed at startup)
+        try:
+            info = os.fstat(streams[fd].fileno() if fd in streams else fd)
+        except (AttributeError, OSError, ValueError):
+            return f"fd {fd}"
+        return info.st_dev, info.st_ino
 
-
-def _descriptor_identity(fd):
-    """The (device, inode) of the file open on descriptor *fd*, read through
-    sys.stdout or sys.stderr for 1 and 2, or "fd N" when there is none (a
-    closed descriptor, or a stream without one, as under pytest's capsys)."""
-    stream = _standard_stream(fd)
-    try:
-        info = os.fstat(stream.fileno() if stream else fd)
-    except (OSError, ValueError):
-        return f"fd {fd}"
-    return info.st_dev, info.st_ino
-
-
-def _target(path):
-    """(descriptor, identity) of output *path*. The descriptor is 1 for None
-    or "-", the one a path under /dev/fd/ or /proc/self/fd/ names (or
-    /dev/stdin, /dev/stdout, /dev/stderr), 1 or 2 for a path to the file
-    stdout or stderr is open on, and None for any other path, which is
-    opened as a file. The identity is the (device, inode) of the file
-    written, or the resolved path of a file not made yet."""
+    fd = None
     if path in (None, "-"):
         fd = 1
     else:
-        named = _DESCRIPTOR_PATH.fullmatch(path)
-        fd = int(named.group(1)) if named else _STANDARD_PATHS.get(path)
+        head, name = os.path.split(path)
+        where = os.path.realpath(head or os.curdir)
+        if where == os.path.realpath("/dev"):
+            fd = {"stdin": 0, "stdout": 1, "stderr": 2}.get(name)
+        elif name.isascii() and name.isdigit() and where in map(os.path.realpath, _DESCRIPTOR_DIRS):
+            fd = int(name)
     if fd is not None:
-        return fd, _descriptor_identity(fd)
+        return path, fd, identity(fd), None
     try:
         info = os.stat(path)
-    except (OSError, ValueError):
-        return None, os.path.realpath(path)
-    identity = info.st_dev, info.st_ino
-    for fd in (1, 2):
-        if identity == _descriptor_identity(fd):
-            return fd, identity
-    return None, identity
+    except FileNotFoundError:
+        return path, None, os.path.realpath(path), 0o666
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    reached = info.st_dev, info.st_ino
+    fd = next((fd for fd in streams if identity(fd) == reached), None)
+    mode = stat.S_IMODE(info.st_mode) if fd is None and stat.S_ISREG(info.st_mode) else None
+    return path, fd, reached, mode
 
 
-def _open_descriptor(fd):
-    """A text stream on descriptor *fd*: sys.stdout or sys.stderr for 1 and
-    2, else a stream on a duplicate of it, which shares its offset and
-    append mode and can be closed without closing *fd*."""
-    return _standard_stream(fd) or os.fdopen(os.dup(fd), "w", encoding="utf-8", newline="")
+def _open(path, fd, mode):
+    """A text stream for a resolved output, and the (new, final) pair of
+    paths to move once every output is written, or None. Descriptors 1 and
+    2 are written through sys.stdout and sys.stderr, any other through a
+    duplicate, which shares its offset and append mode and can be closed
+    without closing it. A staged output gets a new file beside its
+    resolved path, made with O_EXCL and *mode*; any other path, such as a
+    device or a FIFO, is written as it is."""
+    if fd in (1, 2):
+        stream = (sys.stdout, sys.stderr)[fd - 1]
+        if stream is None:  # Python leaves it None when started with it closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return stream, None
+    if fd is not None:
+        return os.fdopen(os.dup(fd), "w", encoding="utf-8", newline=""), None
+    if mode is None:
+        return open(path, "w", encoding="utf-8", newline=""), None
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    return os.fdopen(fd, "w", encoding="utf-8", newline=""), (temp, target)
 
 
 def _write_outputs(outputs):
-    """Write each (path, write) pair, *write* taking a text stream. A command
-    leaves all of its files or none: every output is opened before any is
-    written, and each new file is moved onto its path once all are written.
-    Two outputs that name one file, stdout among them (so /dev/stdout and
-    "-" collide), are a usage error. A path that names an open descriptor
-    (/dev/stderr, /dev/fd/N, /proc/self/fd/N) or the file stdout or stderr
-    is open on is written through that descriptor and never staged, so a
-    file a descriptor appends to is not replaced. An OSError on an output
-    file is a usage error that names the file, while one on stdout passes
-    through."""
-    paths = [path for path, _ in outputs]
-    targets = [_target(path) for path in paths]
-    identities = [identity for _, identity in targets]
-    for i, identity in enumerate(identities):
-        if identity in identities[:i]:
-            first, second = paths[identities.index(identity)], paths[i]
-            on_stdout = first in (None, "-") or second in (None, "-")
-            where = "stdout" if on_stdout else f"one file, {first} and {second}"
+    """Write each (resolved output, write) pair, *write* taking a text
+    stream. A command leaves all of its files or none: every output is
+    opened before any is written, and each staged file is moved onto its
+    path once all are written. Two outputs that reach one file, or both
+    stdout, are a usage error. An OSError on an output is a usage error
+    naming it ("stdout" for descriptor 1), except a broken pipe on stdout,
+    which passes through."""
+    seen = {}
+    for (path, fd, identity, _), _ in outputs:
+        if identity in seen:
+            first, first_fd = seen[identity]
+            where = "stdout" if 1 in (fd, first_fd) else f"one file, {first} and {path}"
             raise UsageError(f"two outputs go to {where}")
+        seen[identity] = path, fd
     opened = []
     try:
-        for path, (fd, _) in zip(paths, targets):
-            opened.append(_open_output(path) if fd is None else (_open_descriptor(fd), None))
-        for (path, write), (stream, _) in zip(outputs, opened):
+        for (path, fd, _, mode), _ in outputs:
+            opened.append(_open(path, fd, mode))
+        for ((path, fd, *_), write), (stream, _) in zip(outputs, opened):
             write(stream)
             stream.flush()
-        for (path, _), (stream, move) in zip(outputs, opened):
+        for ((path, fd, *_), _), (stream, move) in zip(outputs, opened):
             if move:
                 stream.close()
                 os.replace(*move)
     except OSError as exc:
-        if path in (None, "-"):
+        if fd == 1 and isinstance(exc, BrokenPipeError):
             raise
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot write {'stdout' if fd == 1 else path}: {exc.strerror or exc}") from None
     finally:
         for stream, move in opened:
             if stream not in (sys.stdout, sys.stderr):
@@ -358,10 +354,10 @@ def cmd_select(args) -> list:
     epsilon = _resolve_epsilon(args.epsilon, matrix.shape[1])
     (factor,) = prefix_factors(matrix, [len(matrix)])
     out = _run_report(args, descriptor, matrix, epsilon, factor)
-    outputs = [(args.out, _json(out))]
+    outputs = [(_resolve(args.out), _json(out))]
     if args.table is not None:
         rows = zip(*(column.tolist() for column in out["per_k"]))
-        outputs.append((args.table, _csv(ScoreTable._fields, rows)))
+        outputs.append((_resolve(args.table), _csv(ScoreTable._fields, rows)))
     return outputs
 
 
@@ -370,7 +366,7 @@ def cmd_scree(args) -> list:
     (factor,) = prefix_factors(matrix, [len(matrix)])
     variances = scree(factor_spectrum(factor), normalized=args.normalized)
     rows = enumerate(variances.tolist(), start=1)
-    return [(args.out, _csv(["component", "variance"], rows))]
+    return [(_resolve(args.out), _csv(["component", "variance"], rows))]
 
 
 def cmd_compare(args) -> list:
@@ -397,16 +393,18 @@ def cmd_compare(args) -> list:
         out = _run_report(args, descriptor, matrix[: factor.n], epsilon, factor)
         out["length"] = factor.n
         reports[factor.n] = out
-    return [(args.out, _json([reports[length] for length in lengths]))]
+    return [(_resolve(args.out), _json([reports[length] for length in lengths]))]
 
 
 def cmd_generate(args) -> list:
     spec, matrix = _synthetic(args)
     header = [f"col_{j + 1}" for j in range(spec.m)]
-    outputs = [(args.out, _csv(header, (row.tolist() for row in matrix)))]
-    if args.out not in (None, "-"):
+    out = _resolve(args.out)
+    outputs = [(out, _csv(header, (row.tolist() for row in matrix)))]
+    *_, mode = out
+    if mode is not None:  # the CSV goes to a staged file, so a sidecar goes beside it
         sidecar = {**HEADER, "generator": generator_metadata(spec)}
-        outputs.append((args.out + ".meta.json", _json(sidecar)))
+        outputs.append((_resolve(args.out + ".meta.json"), _json(sidecar)))
     return outputs
 
 

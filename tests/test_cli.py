@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -910,6 +911,24 @@ class TestUnwritableOutput:
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
         assert report.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--table"])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [("loop", errno.ELOOP), ("file.txt/x", errno.ENOTDIR)],
+        ids=["symlink-loop", "under-a-file"],
+    )
+    def test_path_that_cannot_be_resolved(self, tmp_path, capsys, flag, bad, reason):
+        """A path that os.stat rejects for a reason other than its absence
+        is a usage error naming the path and the reason."""
+        (tmp_path / "loop").symlink_to("loop")
+        (tmp_path / "file.txt").write_text("kept\n")
+        path = str(tmp_path / bad)
+        status, stdout, err = _run(["select", "--input", str(bundled_fixture_path()), flag, path], capsys)
+        assert status == 2 and stdout == ""
+        assert f"mdlrank: cannot write {path}: {os.strerror(reason)}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt", "loop"]
+
     @pytest.mark.parametrize("directory", ["lin.csv", "lin.csv.meta.json"])
     def test_generate_leaves_no_file(self, tmp_path, capsys, directory):
         """When either the CSV or its sidecar is an existing directory,
@@ -1002,6 +1021,29 @@ class TestOutputTargets:
             main(["select", "--input", self.FIXTURE, "--table", str(tmp_path / "t.csv")])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", [["--out", "-"], [], ["--out", "/dev/stdout"]],
+                             ids=["dash", "default", "dev-stdout"])
+    @pytest.mark.parametrize("stdout", ["full", "closed"])
+    def test_stdout_write_failure_is_a_usage_error(self, tmp_path, stdout, out):
+        """A stdout that is full or closed, however it is named, is exit 2
+        with the reason, and the --table file is not left behind."""
+        if stdout == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv = [sys.executable, "-m", "mdlrank.cli", "select", "--input", self.FIXTURE,
+                "--table", str(tmp_path / "t.csv"), *out]
+        if stdout == "full":
+            with open("/dev/full", "w", encoding="utf-8") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+            reason = errno.ENOSPC
+        else:
+            proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+            reason = errno.EBADF
+        assert proc.returncode == 2, proc.stderr
+        assert f"mdlrank: cannot write stdout: {os.strerror(reason)}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCollidingOutputs:
     """Two outputs that reach one file, by name or through a link, or that
@@ -1043,8 +1085,9 @@ class TestCollidingOutputs:
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     @pytest.mark.parametrize(
         "flags",
-        [["--table", "/dev/stdout"], ["--out", "/dev/stdout", "--table", "-"]],
-        ids=["table", "out"],
+        [["--table", "/dev/stdout"], ["--out", "/dev/stdout", "--table", "-"],
+         ["--out", "/dev/stdout", "--table", "/dev/fd/1"]],
+        ids=["table", "out", "two-spellings"],
     )
     def test_stdout_named_by_path(self, tmp_path, flags):
         """/dev/stdout is the file stdout is open on, so it collides with
@@ -1093,6 +1136,52 @@ class TestCollidingOutputs:
         assert status == 0
         assert log.read_text() == "kept\n" + scree
         assert [p.name for p in tmp_path.iterdir()] == ["err.log"]
+
+    @pytest.mark.parametrize(
+        "path, cwd",
+        [("/dev//fd/{fd}", None), ("/proc/thread-self/fd/{fd}", None), ("{fd}", "/dev/fd")],
+        ids=["doubled-slash", "thread-self", "relative"],
+    )
+    def test_descriptor_spelled_another_way_is_appended_to(self, tmp_path, capsys, path, cwd):
+        """A descriptor path is told by where its directory resolves to, not
+        by its spelling. Stderr is a pipe, so only the path can name the log."""
+        directory = cwd or os.path.dirname(path)
+        if not os.path.isdir(directory):
+            pytest.skip(f"no {directory}")
+        # the package by an absolute path, for the child run from cwd
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        log = tmp_path / "log.txt"
+        log.write_text("kept\n")
+        with open(log, "a", encoding="utf-8") as extra:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdlrank.cli", "scree", "--input", self.FIXTURE,
+                 "--out", path.format(fd=extra.fileno())],
+                capture_output=True, pass_fds=(extra.fileno(),), cwd=cwd, env=env,
+                text=True, timeout=120,
+            )
+        assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+        status, scree, _ = _run(["scree", "--input", self.FIXTURE], capsys)
+        assert status == 0
+        assert log.read_text() == "kept\n" + scree
+        assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
+
+    def test_generate_through_a_descriptor_writes_no_sidecar(self, tmp_path, capsys):
+        """generate writes its sidecar only beside a staged file."""
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        argv = ["generate", "--n", "5", "--m", "3", "--true-k", "1"]
+        target = tmp_path / "g.csv"
+        with open(target, "a", encoding="utf-8") as extra:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdlrank.cli", *argv, "--out", f"/dev/fd/{extra.fileno()}"],
+                capture_output=True, pass_fds=(extra.fileno(),), text=True, timeout=120,
+            )
+        assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+        status, expected, _ = _run(argv, capsys)
+        assert status == 0
+        assert target.read_text() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
 
     # a descriptor the child does not have open, and one open read-only
     @pytest.mark.parametrize("path", ["/dev/fd/987", "/dev/stdin"], ids=["closed", "read-only"])
