@@ -179,16 +179,39 @@ def _run_report(args, descriptor, matrix, epsilon, factor):
 
 # the directories whose numbered entries are this process's open descriptors
 _DESCRIPTOR_DIRS = ("/dev/fd", "/proc/self/fd", "/proc/thread-self/fd")
+# the entries of /dev that name descriptors 0, 1 and 2
+_STANDARD_NAMES = ("stdin", "stdout", "stderr")
+# symlinks followed from an output path, as many as Linux follows itself
+_MAX_HOPS = 40
+
+
+def _named_descriptor(path):
+    """The descriptor *path* names, or None: by where its directory
+    resolves to, however it is spelled, and then the same for each of its
+    own symlinks, one hop at a time. A loop ends at the cap, and the
+    os.stat of the path then reports it."""
+    for _ in range(_MAX_HOPS):
+        head, name = os.path.split(path)
+        where = os.path.realpath(head or os.curdir)
+        if where == os.path.realpath("/dev") and name in _STANDARD_NAMES:
+            return _STANDARD_NAMES.index(name)
+        if name.isascii() and name.isdigit() and where in map(os.path.realpath, _DESCRIPTOR_DIRS):
+            return int(name)
+        try:
+            path = os.path.join(head, os.readlink(path))
+        except OSError:  # not a symlink, or not there
+            return None
+    return None
 
 
 def _resolve(path):
     """(path, descriptor, identity, mode) of output *path*, stat-ed once.
 
-    The descriptor is 1 for None or "-", the one a path names (by where
-    its directory resolves to, however it is spelled), 1 or 2 for a path to
-    the file stdout or stderr is open on, and None for any other path. The
-    identity is the (device, inode) the output reaches, or the resolved
-    path of a file not made yet, or "fd N" for a descriptor with no file.
+    The descriptor is 1 for None or "-", the one a path names
+    (:func:`_named_descriptor`), 1 or 2 for a path to the file stdout or
+    stderr is open on, and None for any other path. The identity is the
+    (device, inode) the output reaches, or the resolved path of a file not
+    made yet, or "fd N" for a descriptor with no file.
     The mode is the permission bits of the new file staged for a missing or
     regular file, and None for an output written in place. A path that
     cannot be stat-ed for any reason but its absence is a usage error."""
@@ -202,16 +225,7 @@ def _resolve(path):
             return f"fd {fd}"
         return info.st_dev, info.st_ino
 
-    fd = None
-    if path in (None, "-"):
-        fd = 1
-    else:
-        head, name = os.path.split(path)
-        where = os.path.realpath(head or os.curdir)
-        if where == os.path.realpath("/dev"):
-            fd = {"stdin": 0, "stdout": 1, "stderr": 2}.get(name)
-        elif name.isascii() and name.isdigit() and where in map(os.path.realpath, _DESCRIPTOR_DIRS):
-            fd = int(name)
+    fd = 1 if path in (None, "-") else _named_descriptor(path)
     if fd is not None:
         return path, fd, identity(fd), None
     try:
@@ -485,15 +499,17 @@ def main(argv=None) -> int:
     try:
         _write_outputs(args.func(args))
     except UsageError as exc:
-        print(f"mdlrank: {exc}", file=sys.stderr)
-        return 2
+        status, message = 2, f"mdlrank: {exc}"
     except (ParseError, DegenerateInputError) as exc:
-        print(f"mdlrank: data error: {exc}", file=sys.stderr)
-        return 3
+        status, message = 3, f"mdlrank: data error: {exc}"
     except (DomainError, ConvergenceError) as exc:
-        print(f"mdlrank: numerical error: {exc}", file=sys.stderr)
-        return 4
-    return 0
+        status, message = 4, f"mdlrank: numerical error: {exc}"
+    else:
+        return 0
+    # an unwritable stderr loses the message, not the status
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mdlrank import cli
+from mdlrank import cli, linalg
 from mdlrank.cli import main
 from mdlrank.complexity import ScoreTable
 from mdlrank.datasets import bundled_fixture_path
@@ -456,34 +456,44 @@ class TestOneDecompositionPerMatrix:
     """Selection, both gram modes and the baselines read one streamed R
     factor of [X | 1] per analysed matrix: every SVD is values-only and of
     at most m + 1 rows, one for the spectrum and one for Kaiser, and each
-    input row goes through a QR at most twice, once in its grid block and
-    once in the partial block of a prefix."""
+    input row is factored at most twice, once in its grid block and once
+    in the partial block of a prefix, whether it enters a Gram product
+    (the Cholesky route these inputs take) or a QR."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"svd": [], "qr": []}
-        real_svd, real_qr = np.linalg.svd, np.linalg.qr
+        calls = {"svd": [], "rows": []}
+        real_svd, real_qr, real_dot = np.linalg.svd, np.linalg.qr, np.dot
 
         def svd(a, *args, **kwargs):
             calls["svd"].append((a.shape[0], kwargs.get("compute_uv", True)))
             return real_svd(a, *args, **kwargs)
 
-        def qr(a, *args, **kwargs):
+        def rows(a):
             # input rows are the ones that hold the 1 of [X | 1]; the rows
             # of R and the zero padding do not. Their (distinct) scaled
             # first-column values name them.
-            calls["qr"].append(a[a[:, -1] == 1.0, 0])
+            return a[a[:, -1] == 1.0, 0]
+
+        def qr(a, *args, **kwargs):
+            calls["rows"].append(rows(a))
             return real_qr(a, *args, **kwargs)
+
+        def dot(a, b, *args, **kwargs):
+            if a.base is b:  # the Gram product b^T b
+                calls["rows"].append(rows(b))
+            return real_dot(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(np, "dot", dot)
         return calls
 
     @staticmethod
     def _check(calls, m, svds, rows):
         assert len(calls["svd"]) == svds
         assert all(rows <= m + 1 and not uv for rows, uv in calls["svd"])
-        seen = Counter(np.concatenate(calls["qr"]).tolist())
+        seen = Counter(np.concatenate(calls["rows"]).tolist())
         assert len(seen) == rows
         assert max(seen.values()) <= 2
 
@@ -723,6 +733,42 @@ class TestCompareEqualsSelect:
             assert lower[report["k_lower_opt"] - 1] <= lower.min() + tie
             assert upper[report["k_upper_opt"] - 1] <= upper.min() + tie
             assert report["baselines"]["kaiser"] in kaiser_counts(y[:length])
+
+    def test_prefixes_either_side_of_the_gate(self, tmp_path, capsys, monkeypatch):
+        """Early prefixes, whose first two columns are equal but for 1e-9,
+        fail the Gram route's gate and take the folds; later ones, past
+        the rows that part them, pass it. Each element is still the select
+        report of its prefix."""
+        rng = np.random.default_rng(24)
+        y = rng.standard_normal((self.N, self.M))
+        y[:30, 1] = y[:30, 0] + 1e-9 * rng.standard_normal(30)
+        routes, real = [], linalg._gram_factor
+
+        def recording(g):
+            r = real(g)
+            routes.append("gram" if r is not None else "fold")
+            return r
+
+        monkeypatch.setattr(linalg, "_gram_factor", recording)
+        lines = [",".join(repr(float(v)) for v in row) + "\n" for row in y]
+        path = tmp_path / "x.csv"
+        path.write_text("".join(lines))
+        lengths = [self.M, self.STEP - 1, self.STEP, 29, 31, 2 * self.STEP + 1, self.N]
+        flags = ["--raw", "--no-header", "--reproducible"]
+        status, out, err = _run(
+            ["compare", "--input", str(path), "--lengths", ",".join(map(str, lengths))] + flags,
+            capsys,
+        )
+        assert status == 0, err
+        assert routes == ["fold"] * 4 + ["gram"] * 3
+        for length, report in zip(lengths, json.loads(out)):
+            assert report.pop("length") == length
+            prefix = tmp_path / f"prefix{length}.csv"
+            prefix.write_text("".join(lines[:length]))
+            status, expected, _ = _run(["select", "--input", str(prefix)] + flags, capsys)
+            assert status == 0
+            report["input"]["path"] = str(prefix)
+            assert json.dumps(report, indent=2) + "\n" == expected
 
 
 class TestGenerate:
@@ -1166,6 +1212,37 @@ class TestCollidingOutputs:
         assert log.read_text() == "kept\n" + scree
         assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
 
+    @pytest.mark.parametrize(
+        "target", ["/dev/fd/{fd}", "/proc/self/fd/{fd}", "hop"], ids=["dev-fd-n", "proc-fd-n", "two-hops"],
+    )
+    def test_symlink_to_a_descriptor_is_appended_to(self, tmp_path, capsys, target):
+        """The path's own symlinks are followed one hop at a time, and each
+        hop is told by the descriptor rule, so the file behind the
+        descriptor keeps its earlier lines."""
+        if not os.path.isdir("/dev/fd") or not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /dev/fd or /proc/self/fd")
+        log = tmp_path / "log.txt"
+        log.write_text("kept\n")
+        link = tmp_path / "link"
+        with open(log, "a", encoding="utf-8") as extra:
+            if target == "hop":
+                (tmp_path / "hop").symlink_to(f"/dev/fd/{extra.fileno()}")
+                link.symlink_to("hop")
+            else:
+                link.symlink_to(target.format(fd=extra.fileno()))
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdlrank.cli", "scree", "--input", self.FIXTURE,
+                 "--out", str(link)],
+                capture_output=True, pass_fds=(extra.fileno(),), text=True, timeout=120,
+            )
+        assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+        status, scree, _ = _run(["scree", "--input", self.FIXTURE], capsys)
+        assert status == 0
+        assert log.read_text() == "kept\n" + scree
+        assert {p.name for p in tmp_path.iterdir()} == {"log.txt", "link"} | (
+            {"hop"} if target == "hop" else set()
+        )
+
     def test_generate_through_a_descriptor_writes_no_sidecar(self, tmp_path, capsys):
         """generate writes its sidecar only beside a staged file."""
         if not os.path.isdir("/dev/fd"):
@@ -1204,6 +1281,24 @@ class TestCollidingOutputs:
 
 
 class TestErrorTaxonomy:
+    @pytest.mark.parametrize("status", [2, 3, 4])
+    def test_status_survives_an_unwritable_stderr(self, tmp_path, status):
+        """The mdlrank: message is lost when stderr is full, but not the
+        documented status."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,2,3,4\n5,6,7,8\n")
+        argv = {
+            2: ["select", "--input", str(bundled_fixture_path()), "--table", "-"],
+            3: ["scree", "--input", str(tmp_path / "missing.csv")],
+            4: ["select", "--input", str(wide), "--raw", "--no-header"],
+        }[status]
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            proc = subprocess.run([sys.executable, "-m", "mdlrank.cli", *argv],
+                                  stdout=subprocess.PIPE, stderr=full, timeout=120)
+        assert proc.returncode == status and proc.stdout == b""
+
     def test_wide_matrix_is_numerical_error(self, tmp_path, capsys):
         p = tmp_path / "wide.csv"
         p.write_text("1,2,3,4\n5,6,7,8\n")

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdlrank import (
     ConvergenceError,
@@ -10,14 +13,21 @@ from mdlrank import (
     tail_energy,
     truncate,
 )
+from mdlrank import linalg
+from mdlrank.baselines import kaiser, kneedle, scree
+from mdlrank.complexity import select_rank
 from mdlrank.linalg import (
     BLOCK_FACTOR,
+    GRAM_TAU,
+    UNIT_ROUNDOFF,
     correlation_values,
     factor_spectrum,
     jacobi_svd,
     prefix_factors,
 )
-from helpers import singular_values_by_gram_eig
+from helpers import random_orthonormal, singular_values_by_gram_eig
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestSvd:
@@ -149,6 +159,99 @@ class TestPrefixFactors:
         x = np.random.default_rng(18).standard_normal((50, self.M))
         with pytest.raises(DomainError, match=r"outside \[1, 50\]"):
             list(prefix_factors(x, lengths))
+
+
+class TestGramRoute:
+    """A prefix's R is the Cholesky factor of its Gram when the gate holds,
+    and the Householder folds' R otherwise; either way the selection and
+    the baselines are those of the fold route."""
+
+    @staticmethod
+    def _gated(x):
+        """The factor of all of *x*, and whether the Gram route made it."""
+        ran, real = [], linalg._gram_factor
+
+        def recording(g):
+            r = real(g)
+            ran.append(r is not None)
+            return r
+
+        with mock.patch.object(linalg, "_gram_factor", recording):
+            (factor,) = prefix_factors(x, [len(x)])
+        return factor, ran == [True]
+
+    @staticmethod
+    def _folded(x):
+        """The fold route's factor of all of *x*."""
+        with mock.patch.object(linalg, "_gram_factor", lambda g: None):
+            (factor,) = prefix_factors(x, [len(x)])
+        return factor
+
+    @staticmethod
+    def _selection(x, factor):
+        """k_lower, k_upper, the bracket, Kaiser and kneedle of *x*."""
+        spectrum = factor_spectrum(factor)
+        report = select_rank(x, spectrum=spectrum)
+        return (
+            report.k_lower_opt, report.k_upper_opt, report.k_bracket,
+            kaiser(correlation_values(factor)), kneedle(scree(spectrum, normalized=True)),
+        )
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 8),
+        extra_rows=st.integers(2, 120),
+        log_condition=st.floats(0.0, 12.0),
+        exponents=st.lists(st.integers(-8, 8), min_size=8, max_size=8),
+        mean=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+        mean_column=st.integers(0, 2),
+    )
+    def test_same_selection_as_the_folds(
+        self, seed, m, extra_rows, log_condition, exponents, mean, mean_column
+    ):
+        """Log-spaced spectra of condition number 1 to 1e12, columns scaled
+        by powers of two and by other factors, and a column whose mean is
+        up to 1e6 times its spread. The Gram route runs exactly when the
+        least eigenvalue of R_eq^T R_eq clears the gate's δ, and then
+        m u κ(R_eq)^2 <= GRAM_TAU. The scalings stay within 2**±8: once
+        the column norms alone span 1/u, the small singular values are
+        rounding noise on either route."""
+        rng = np.random.default_rng(seed)
+        n = m + extra_rows
+        s = np.logspace(0.0, -log_condition, m)
+        x = (random_orthonormal(rng, n, m) * s) @ random_orthonormal(rng, m).T
+        x = np.ldexp(x * rng.uniform(0.1, 10.0, m), exponents[:m])
+        x[:, mean_column] += mean * np.abs(x[:, mean_column]).max()
+        (factor, gram), fold = self._gated(x), self._folded(x)
+        assert self._selection(x, factor) == self._selection(x, fold)
+        r_eq = fold.r / np.linalg.norm(fold.r, axis=0)
+        least = np.linalg.eigvalsh(r_eq.T @ r_eq)[0]
+        delta = (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
+        if abs(least - delta) > 1e-3 * delta:
+            assert gram == (least > delta)
+        if gram:
+            values = np.linalg.svd(r_eq, compute_uv=False)
+            assert m * UNIT_ROUNDOFF * (values[0] / values[-1]) ** 2 <= GRAM_TAU
+
+    @pytest.mark.parametrize("column", ["constant", "zero", "collinear", "near-ones"])
+    def test_degenerate_columns_take_the_folds(self, column):
+        x = np.random.default_rng(19).standard_normal((50, 4))
+        x[:, 2] = {"constant": 0.1, "zero": 0.0, "collinear": 3.0 * x[:, 0],
+                   "near-ones": 1e9 + x[:, 1]}[column]
+        factor, gram = self._gated(x)
+        assert not gram
+        assert np.array_equal(factor.r, self._folded(x).r)
+
+    def test_entries_whose_squares_underflow(self):
+        """A column whose peak is 1 and whose other entries are near
+        2**-600: their squares underflow in the Gram, and the selection
+        and baselines are still those of the folds."""
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((80, 6))
+        x[:, 2] = np.ldexp(rng.standard_normal(80), -600)
+        x[17, 2] = 1.0
+        assert self._selection(x, self._gated(x)[0]) == self._selection(x, self._folded(x))
 
 
 class TestJacobiSvd:
