@@ -2,8 +2,6 @@
 correlation eigenvalues (:func:`mdlrank.linalg.correlation_values`) and
 knee detection on scree curves."""
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
@@ -17,11 +15,12 @@ def scree(s: Spectrum, normalized: bool = False) -> np.ndarray:
     """Explained-variance curve: squared singular values, in order, scaled
     to sum to one when *normalized*.
 
-    *s* is a :class:`~mdlrank.linalg.Spectrum` or an SVD result; only its
-    ``singular_values`` are read. The normalized curve is formed from the
-    values scaled by an exact power of two, so it neither overflows nor
-    underflows at extreme data scales; the plain curve raises DomainError
-    when a nonzero value's square overflows or underflows to zero.
+    *s* is a :class:`~mdlrank.linalg.Spectrum`, a stack of them (one curve
+    per row) or an SVD result; only its ``singular_values`` are read. The
+    normalized curve is formed from the values scaled by an exact power of
+    two, so it neither overflows nor underflows at extreme data scales; the
+    plain curve raises DomainError when a nonzero value's square overflows
+    or underflows to zero.
     """
     values = np.asarray(s.singular_values, dtype=np.float64)
     if not normalized:
@@ -33,24 +32,27 @@ def scree(s: Spectrum, normalized: bool = False) -> np.ndarray:
                 "scale; pass --normalized for the curve scaled to sum to 1"
             )
         return variances
-    variances = binary_scaled(values)[0] ** 2
-    total = variances.sum()
-    if total == 0.0:
+    variances = binary_scaled(values, axis=-1)[0] ** 2
+    total = variances.sum(axis=-1, keepdims=True)
+    if (total == 0.0).any():
         raise DegenerateInputError(
             "cannot normalize a scree curve with zero total variance"
         )
     return variances / total
 
 
-def kaiser(eigenvalues_of_correlation) -> int:
-    """Count of correlation eigenvalues at least one (inclusive boundary)."""
+def kaiser(eigenvalues_of_correlation):
+    """Count of correlation eigenvalues at least one (inclusive boundary):
+    an int, or for a stack of eigenvalue sets (one per row) a list of
+    counts."""
     eig = np.asarray(eigenvalues_of_correlation, dtype=np.float64)
-    return int(np.sum(eig >= 1.0))
+    return np.count_nonzero(eig >= 1.0, axis=-1).tolist()
 
 
-def kneedle(variances, sensitivity: float = 1.0) -> Optional[int]:
+def kneedle(variances, sensitivity: float = 1.0):
     """Knee of a decreasing curve of *variances*, or None when no bend
-    clears the sensitivity threshold.
+    clears the sensitivity threshold; for a stack of curves (one per row),
+    the list of their knees.
 
     Procedure: min-max normalize both axes; for a decreasing curve the
     difference curve is the gap below the normalized endpoint chord,
@@ -66,19 +68,17 @@ def kneedle(variances, sensitivity: float = 1.0) -> Optional[int]:
     if not sensitivity > 0:
         raise DomainError(f"sensitivity must be positive, got {sensitivity}")
     y = np.asarray(variances, dtype=np.float64)
-    n = len(y)
+    n = y.shape[-1]
     if n < KNEE_MIN_POINTS:
         raise DegenerateInputError(
             f"knee detection needs at least {KNEE_MIN_POINTS} scree points, got {n}"
         )
-    y_span = y.max() - y.min()
-    if y_span == 0.0:
-        return None
+    low = y.min(axis=-1, keepdims=True)
     x_norm = np.arange(n) / (n - 1)
-    y_norm = (y - y.min()) / y_span
+    # a flat curve divides 0 by 0, and its NaNs make no local maximum
+    with np.errstate(invalid="ignore"):
+        y_norm = (y - low) / (y.max(axis=-1, keepdims=True) - low)
     diff = 1.0 - x_norm - y_norm
-    threshold = sensitivity / (n - 1)
-    for i in range(1, n - 1):
-        if diff[i] >= diff[i - 1] and diff[i] >= diff[i + 1] and diff[i] > threshold:
-            return i
-    return None
+    inner = diff[..., 1:-1]
+    bend = (inner >= diff[..., :-2]) & (inner >= diff[..., 2:]) & (inner > sensitivity / (n - 1))
+    return np.where(bend.any(axis=-1), bend.argmax(axis=-1) + 1, None).tolist()

@@ -17,9 +17,11 @@ import stat
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .baselines import kaiser, kneedle, scree
-from .complexity import GRAM_MODES, ScoreTable, default_epsilon, select_rank
+from .complexity import GRAM_MODES, ScoreTable, default_epsilon, select_ranks
 from .datasets import (
     SyntheticSpec,
     generate_lin,
@@ -29,7 +31,7 @@ from .datasets import (
     returns_transform,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
-from .linalg import correlation_values, factor_spectrum, prefix_factors
+from .linalg import Spectrum, correlation_values, factor_spectrum, prefix_factors
 from .quantization import validate_epsilon
 
 SCHEMA_VERSION = 2
@@ -116,65 +118,89 @@ def _load_input(args):
     return descriptor, matrix
 
 
-def _baselines(factor, spectrum, sensitivity):
-    """Kaiser count on correlation eigenvalues plus knee of the scree.
+def _baselines(spectra, correlations, reasons, sensitivity):
+    """The baselines block of each spectrum of the stack *spectra*: the
+    Kaiser count of its correlation eigenvalues (a row of *correlations*)
+    and the knee of its normalized scree.
 
     A baseline that cannot use the input (Kaiser on a constant column, the
-    knee on a scree too short to bend) raises DegenerateInputError; it is
-    reported as null with the reason under ``skipped``, and the run goes
-    on, since the selection does not depend on it.
+    knee on a scree too short to bend) is reported as null with the reason
+    under ``skipped``: a prefix's Kaiser reason is its entry of *reasons*,
+    None where it has eigenvalues. The run goes on, since the selection
+    does not depend on a baseline.
     """
-    rules = {
-        "kaiser": lambda: kaiser(correlation_values(factor)),
-        "kneedle": lambda: kneedle(scree(spectrum, normalized=True), sensitivity),
-    }
-    out = {}
-    skipped = {}
-    for name, rule in rules.items():
+    counts = kaiser(correlations)
+    try:
+        knees, knee_reason = kneedle(scree(spectra, normalized=True), sensitivity), None
+    except DegenerateInputError as exc:
+        knees, knee_reason = [None] * len(counts), str(exc)
+    blocks = []
+    for count, reason, knee in zip(counts, reasons, knees):
+        out = {"kaiser": None if reason else count, "kneedle": knee}
+        skipped = {name: why for name, why in (("kaiser", reason), ("kneedle", knee_reason)) if why}
+        if skipped:
+            out["skipped"] = skipped
+        blocks.append(out)
+    return blocks
+
+
+def _selection_blocks(spectra, matrix, epsilon, gram_mode):
+    return [
+        {
+            "gram_mode": gram_mode,
+            "per_k": report.per_k,
+            "k_lower_opt": report.k_lower_opt,
+            "k_upper_opt": report.k_upper_opt,
+            "k_bracket": list(report.k_bracket),
+        }
+        for report in select_ranks(spectra, matrix, epsilon, gram_mode)
+    ]
+
+
+def _run_reports(args, descriptor, matrix, epsilon, lengths):
+    """The report of each prefix of *matrix* whose row count is in
+    *lengths*, in ascending order of length. The prefixes' R factors are
+    streamed (:func:`prefix_factors`), and of each only its singular values
+    and its correlation eigenvalues, or why it has none, are kept; then
+    every prefix is scored in one stacked pass per gram mode."""
+    m = matrix.shape[1]
+    values, correlations, reasons = [], [], []
+    for factor in prefix_factors(matrix, lengths):
+        values.append(factor_spectrum(factor).singular_values)
         try:
-            out[name] = rule()
+            correlations.append(correlation_values(factor))
+            reasons.append(None)
         except DegenerateInputError as exc:
-            out[name] = None
-            skipped[name] = str(exc)
-    if skipped:
-        out["skipped"] = skipped
-    return out
-
-
-def _selection_block(matrix, spectrum, epsilon, gram_mode):
-    report = select_rank(matrix, epsilon=epsilon, gram_mode=gram_mode, spectrum=spectrum)
-    return {
-        "gram_mode": gram_mode,
-        "per_k": report.per_k,
-        "k_lower_opt": report.k_lower_opt,
-        "k_upper_opt": report.k_upper_opt,
-        "k_bracket": list(report.k_bracket),
-    }
-
-
-def _run_report(args, descriptor, matrix, epsilon, factor):
-    """The report of *matrix*, whose R factor is *factor*."""
-    n, m = matrix.shape
-    spectrum = factor_spectrum(factor)
-    block = _selection_block(matrix, spectrum, epsilon, args.gram_mode)
-    out = {
-        **HEADER,
-        "input": descriptor,
-        "n": n,
-        "m": m,
-        "epsilon": epsilon,
-        "generator": descriptor.get("synthetic"),
-        "baselines": _baselines(factor, spectrum, args.kneedle_sensitivity),
-    }
-    out.update(block)
-    if args.both_gram_modes:
-        (alt_mode,) = (mode for mode in GRAM_MODES if mode != args.gram_mode)
-        out["alt"] = _selection_block(matrix, spectrum, epsilon, alt_mode)
+            correlations.append(np.zeros(m))  # a placeholder: its count is not reported
+            reasons.append(str(exc))
+    spectra = Spectrum(n=np.array(sorted(set(lengths))), singular_values=np.array(values))
+    modes = [args.gram_mode]
+    if args.both_gram_modes:  # the other mode, reported under "alt"
+        modes += [mode for mode in GRAM_MODES if mode != args.gram_mode]
+    selections = [_selection_blocks(spectra, matrix, epsilon, mode) for mode in modes]
+    baselines = _baselines(spectra, correlations, reasons, args.kneedle_sensitivity)
+    stamp = {}
     if not args.reproducible:
-        out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
+        stamp["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         )
-    return out
+    reports = []
+    for n, baseline, block, *alt in zip(spectra.n.tolist(), baselines, *selections):
+        out = {
+            **HEADER,
+            "input": descriptor,
+            "n": n,
+            "m": m,
+            "epsilon": epsilon,
+            "generator": descriptor.get("synthetic"),
+            "baselines": baseline,
+            **block,
+        }
+        if alt:
+            out["alt"] = alt[0]
+        out.update(stamp)
+        reports.append(out)
+    return reports
 
 
 # the directories whose numbered entries are this process's open descriptors
@@ -366,8 +392,7 @@ def _csv(header, rows):
 def cmd_select(args) -> list:
     descriptor, matrix = _load_input(args)
     epsilon = _resolve_epsilon(args.epsilon, matrix.shape[1])
-    (factor,) = prefix_factors(matrix, [len(matrix)])
-    out = _run_report(args, descriptor, matrix, epsilon, factor)
+    (out,) = _run_reports(args, descriptor, matrix, epsilon, [len(matrix)])
     outputs = [(_resolve(args.out), _json(out))]
     if args.table is not None:
         rows = zip(*(column.tolist() for column in out["per_k"]))
@@ -401,12 +426,11 @@ def cmd_compare(args) -> list:
                 f"{width}-column input needs at least {max(2, width)} rows"
             )
     epsilon = _resolve_epsilon(args.epsilon, width)
-    # one streamed pass over the sorted distinct lengths, emitted as given
+    # one pass over the sorted distinct lengths, emitted as given
     reports = {}
-    for factor in prefix_factors(matrix, lengths):
-        out = _run_report(args, descriptor, matrix[: factor.n], epsilon, factor)
-        out["length"] = factor.n
-        reports[factor.n] = out
+    for out in _run_reports(args, descriptor, matrix, epsilon, lengths):
+        out["length"] = out["n"]
+        reports[out["n"]] = out
     return [(_resolve(args.out), _json([reports[length] for length in lengths]))]
 
 

@@ -17,7 +17,9 @@ The residual energies are tail sums of the squared singular values, so the
 whole table is a function of the singular spectrum (and, for the
 ``per_row_sum`` gram mode, of the row energies). Energies are formed in log
 space from exactly rescaled values, so no data scale overflows or
-underflows them.
+underflows them. One kernel, :func:`score_stack`, scores a stack of spectra
+at once, such as those of every prefix ``compare`` analyses; a single
+spectrum (:func:`score_table`, :func:`select_rank`) is a stack of one.
 """
 
 import math
@@ -51,7 +53,8 @@ class ScoreTable(NamedTuple):
 
     One array per per-k report column, in report order; totals follow the
     module formula, and ``gap_ratio`` is the relative bracket width
-    (:func:`_gap_ratio`).
+    (:func:`_gap_ratio`). For a stack of spectra (:func:`score_stack`)
+    each column is P x (m - 1), one row per spectrum.
     """
 
     k: np.ndarray
@@ -108,30 +111,38 @@ def regression_nml(n_obs: int, n_params: int, tau_hat: float, fit_energy: float)
     )
 
 
-def score_table(spectrum: Spectrum, log_gram: float, epsilon: float) -> ScoreTable:
-    """Score columns for every candidate rank k = 1..m-1, ascending in k.
+def score_stack(spectra: Spectrum, log_gram, epsilon: float) -> ScoreTable:
+    """Score columns of a stack of P spectra of one width m: ``spectra.n``
+    holds the P row counts, ``spectra.singular_values`` is P x m and
+    ``log_gram`` gives each spectrum's natural log of the gram-energy
+    argument of the nk*ln(...) term (:func:`_log_grams`). Every column is
+    P x (m - 1), row p that of spectrum p and column k - 1 that of rank k.
 
-    ``log_gram`` is the natural log of the gram-energy argument of the
-    nk*ln(...) term; callers choose it per gram mode. The residual energies
-    are reverse cumulative sums of the squared singular values, taken in
-    log space. A residual energy below TAIL_FLOOR is floored and its rank
-    marked accordingly.
+    The residual energies are reverse cumulative sums of the squared
+    singular values, taken in log space. A residual energy below TAIL_FLOOR
+    is floored and its rank marked accordingly. Each row's arithmetic reads
+    that row alone, so a row equals its spectrum scored on its own, bit for
+    bit.
     """
-    values = np.asarray(spectrum.singular_values, dtype=np.float64)
-    n, m = spectrum.n, len(values)
+    values = np.asarray(spectra.singular_values, dtype=np.float64)
+    n = np.reshape(spectra.n, (-1, 1))
+    log_gram = np.reshape(np.asarray(log_gram, dtype=np.float64), (-1, 1))
+    m = values.shape[1]
     if m < 2:
         raise DomainError(f"no candidate rank in [1, {m - 1}]: need m >= 2 singular values")
-    if n < m:
-        raise DomainError(f"n={n} must be >= m={m}")
-    if not math.isfinite(log_gram):
-        raise DomainError(f"log_gram must be finite, got {log_gram}")
+    if (n < m).any():
+        raise DomainError(f"n={n[n < m][0]} must be >= m={m}")
+    if not np.isfinite(log_gram).all():
+        raise DomainError(f"log_gram must be finite, got {log_gram[~np.isfinite(log_gram)][0]}")
     validate_epsilon(epsilon, m)
 
-    scaled, exponent = binary_scaled(values)
+    scaled, exponent = binary_scaled(values, axis=1)
     energy = scaled * scaled
-    tails = np.cumsum(energy[::-1])[::-1][1:]  # tails[k - 1]: sum of s_i^2, i > k
+    # tails[:, k - 1]: sum of s_i^2, i > k. Copied contiguous before the log,
+    # since numpy's log loop for a reversed view can differ in the last bit
+    tails = np.ascontiguousarray(np.cumsum(energy[:, ::-1], axis=1)[:, -2::-1])
     with np.errstate(divide="ignore"):
-        log_tail = np.log(tails) + 2 * LN2 * float(exponent[0])
+        log_tail = np.log(tails) + 2 * LN2 * exponent
     floored = log_tail < LOG_TAIL_FLOOR
     log_tail = np.where(floored, LOG_TAIL_FLOOR, log_tail)
 
@@ -141,13 +152,20 @@ def score_table(spectrum: Spectrum, log_gram: float, epsilon: float) -> ScoreTab
     gram_term = nk * log_gram
     ratio_term = (m * n - nk - 1) * np.log((m * n) / (m * n - nk))
     count_term = (nk + 1) * np.log(nk)
-    delta_upper = m * k * math.log(2.0 / (m * epsilon))
+    delta_upper = np.broadcast_to(m * k * math.log(2.0 / (m * epsilon)), nk.shape)
     lower_total = tail_term + gram_term + ratio_term - count_term
     upper_total = lower_total + delta_upper
     return ScoreTable(
-        k, tail_term, gram_term, ratio_term, count_term, delta_upper,
-        lower_total, upper_total, _gap_ratio(lower_total, upper_total), floored,
+        np.broadcast_to(k, nk.shape), tail_term, gram_term, ratio_term, count_term,
+        delta_upper, lower_total, upper_total, _gap_ratio(lower_total, upper_total), floored,
     )
+
+
+def score_table(spectrum: Spectrum, log_gram: float, epsilon: float) -> ScoreTable:
+    """Score columns for every candidate rank k = 1..m-1, ascending in k:
+    the one row of :func:`score_stack` on *spectrum* alone."""
+    stack = Spectrum(n=[spectrum.n], singular_values=[spectrum.singular_values])
+    return ScoreTable(*(column[0] for column in score_stack(stack, [log_gram], epsilon)))
 
 
 def _gap_ratio(lower_total: np.ndarray, upper_total: np.ndarray) -> np.ndarray:
@@ -158,22 +176,14 @@ def _gap_ratio(lower_total: np.ndarray, upper_total: np.ndarray) -> np.ndarray:
     return np.where(lower_total == 0.0, None, gap)
 
 
-def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
-    """Natural log of the gram-energy argument g, gram_term = n*k*ln(g).
-
-    full_gram uses the squared Frobenius norm of X^T X, which is the sum of
-    the fourth powers of the singular values. per_row_sum encodes the
-    per-row form k * sum_j ln(X_j . X_j) by passing the mean log row
-    energy, since n*k times that mean equals the sum; a row energy below
-    TAIL_FLOOR (a zero row) is floored. The row energies are taken a grid
-    block of rows at a time, so no n x m copy is made, and each block's
-    entries are checked finite as they are read. Each block is read as a
-    row-major copy, since numpy sums a row in an order that depends on its
-    memory layout; so the energies do not depend on the layout of *x*.
-    """
-    if gram_mode == "full_gram":
-        scaled, exponent = binary_scaled(spectrum.singular_values)
-        return math.log(float(np.sum(scaled**4))) + 4 * LN2 * float(exponent[0])
+def _log_row_energies(x) -> np.ndarray:
+    """Natural log of each row's energy X_i . X_i, floored at TAIL_FLOOR (a
+    zero row). The rows are taken a grid block at a time, so no n x m copy
+    is made, and each block's entries are checked finite as they are read.
+    Each block is read as a row-major copy, since numpy sums a row in an
+    order that depends on its memory layout; so the energies do not depend
+    on the layout of *x*. A row's value reads that row alone, so those of a
+    prefix of *x* are the first entries of those of *x*."""
     step = BLOCK_FACTOR * (x.shape[1] + 1)
     log_rows = []
     for start in range(0, len(x), step):
@@ -184,13 +194,52 @@ def _log_gram(x: np.ndarray, spectrum: Spectrum, gram_mode: str) -> float:
         scaled *= scaled  # a fresh array: square in place
         with np.errstate(divide="ignore"):
             log_rows.append(np.log(np.sum(scaled, axis=1)) + 2 * LN2 * exponent[:, 0])
-    return float(np.mean(np.maximum(np.concatenate(log_rows), LOG_TAIL_FLOOR)))
+    return np.maximum(np.concatenate(log_rows), LOG_TAIL_FLOOR)
+
+
+def _log_grams(spectra: Spectrum, gram_mode: str, x) -> np.ndarray:
+    """Natural log of the gram-energy argument g, gram_term = n*k*ln(g), of
+    each spectrum of the stack *spectra*, that of the first ``spectra.n[p]``
+    rows of the matrix *x*.
+
+    full_gram uses the squared Frobenius norm of X^T X, which is the sum of
+    the fourth powers of the singular values. per_row_sum encodes the
+    per-row form k * sum_j ln(X_j . X_j) by passing the mean log row
+    energy (:func:`_log_row_energies`, taken once for all prefixes), since
+    n*k times that mean equals the sum.
+    """
+    if gram_mode == "full_gram":
+        scaled, exponent = binary_scaled(spectra.singular_values, axis=1)
+        sums = np.sum(scaled**4, axis=1).tolist()
+        return np.array([math.log(total) for total in sums]) + 4 * LN2 * exponent[:, 0]
+    log_rows = _log_row_energies(x[: np.max(spectra.n)])
+    return np.array([np.mean(log_rows[:n]) for n in spectra.n])
+
+
+def select_ranks(spectra: Spectrum, x, epsilon: float, gram_mode: str) -> list:
+    """The :class:`ComplexityReport` of each spectrum of the stack *spectra*
+    (:func:`score_stack`), that of the first ``spectra.n[p]`` rows of *x*,
+    from one call of the kernel. Ties break toward the smallest k."""
+    if gram_mode not in GRAM_MODES:
+        raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
+    # only an all-zero matrix has an all-zero spectrum
+    if not np.any(spectra.singular_values, axis=1).all():
+        raise DegenerateInputError("all-zero matrix has no signal to rank")
+    table = score_stack(spectra, _log_grams(spectra, gram_mode, x), epsilon)
+    # np.argmin returns the first minimum, which is the smallest k
+    lowers = (np.argmin(table.lower_total, axis=1) + 1).tolist()
+    uppers = (np.argmin(table.upper_total, axis=1) + 1).tolist()
+    return [
+        ComplexityReport(ScoreTable(*row), lower, upper, (min(lower, upper), max(lower, upper)))
+        for row, lower, upper in zip(zip(*table), lowers, uppers)
+    ]
 
 
 def select_rank(
     x, epsilon: float = None, gram_mode: str = "full_gram", spectrum: Spectrum = None
 ) -> ComplexityReport:
-    """Score every k in 1..m-1 and select by argmin of both totals.
+    """Score every k in 1..m-1 and select by argmin of both totals: the one
+    report of :func:`select_ranks` on *x* alone.
 
     Ties break toward the smallest k. ``epsilon=None`` uses the default
     1/(2m). The matrix must be taller than wide (or square) with at least
@@ -199,8 +248,6 @@ def select_rank(
     gram modes and baselines); otherwise it is computed here. Only the
     per_row_sum mode reads the entries of *x* beyond the spectrum.
     """
-    if gram_mode not in GRAM_MODES:
-        raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
     if spectrum is None:
         spectrum = singular_spectrum(x)
     a = np.asarray(x, dtype=np.float64)
@@ -209,20 +256,8 @@ def select_rank(
             f"spectrum of a {spectrum.n} x {len(spectrum.singular_values)} matrix "
             f"does not match the input of shape {a.shape}"
         )
-    n, m = a.shape
-    # only an all-zero matrix has an all-zero spectrum
-    if not np.any(spectrum.singular_values):
-        raise DegenerateInputError("all-zero matrix has no signal to rank")
     if epsilon is None:
-        epsilon = default_epsilon(m)
-
-    table = score_table(spectrum, _log_gram(a, spectrum, gram_mode), epsilon)
-    # np.argmin returns the first minimum, which is the smallest k
-    k_lower_opt = int(table.k[np.argmin(table.lower_total)])
-    k_upper_opt = int(table.k[np.argmin(table.upper_total)])
-    return ComplexityReport(
-        per_k=table,
-        k_lower_opt=k_lower_opt,
-        k_upper_opt=k_upper_opt,
-        k_bracket=(min(k_lower_opt, k_upper_opt), max(k_lower_opt, k_upper_opt)),
-    )
+        epsilon = default_epsilon(a.shape[1])
+    stack = Spectrum(n=[spectrum.n], singular_values=[spectrum.singular_values])
+    (report,) = select_ranks(stack, a, epsilon, gram_mode)
+    return report

@@ -106,11 +106,16 @@ def generate_lin(spec: SyntheticSpec) -> np.ndarray:
     # filled column by column in place, so the matrix is held only once
     x = np.empty((spec.n, spec.m), order="F")
     x[:, : spec.true_k] = sources
+    noise = np.empty(spec.n)
     # finite but huge mix bounds can carry a mixture past the float64 range
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(spec.true_k, spec.m):
             coeffs = rng.uniform(spec.mix_low, spec.mix_high, size=spec.true_k)
-            noise = rng.normal(0.0, spec.noise_sigma, size=spec.n)
+            # rng.normal(0.0, sigma) drawn in place: it is 0.0 + sigma * z,
+            # and adding 0.0 turns a -0.0 product into +0.0 as it does
+            rng.standard_normal(out=noise)
+            noise *= spec.noise_sigma
+            noise += 0.0
             col = x[:, j]
             np.dot(sources, coeffs, out=col)
             col += noise

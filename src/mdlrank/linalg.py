@@ -50,7 +50,9 @@ class Spectrum(NamedTuple):
     """Singular values of an n x m matrix with n >= m.
 
     ``n`` is the row count of the decomposed matrix and ``singular_values``
-    holds its m singular values in nonincreasing order.
+    holds its m singular values in nonincreasing order. A stack of P
+    spectra of one width, as the scoring kernel takes, holds the P row
+    counts in ``n`` and one spectrum per row of a P x m ``singular_values``.
     """
 
     n: int

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mdlrank import cli, linalg
+from mdlrank import cli, complexity, linalg
 from mdlrank.cli import main
 from mdlrank.complexity import ScoreTable
 from mdlrank.datasets import bundled_fixture_path
@@ -769,6 +769,70 @@ class TestCompareEqualsSelect:
             assert status == 0
             report["input"]["path"] = str(prefix)
             assert json.dumps(report, indent=2) + "\n" == expected
+
+    def test_both_gram_modes(self, tmp_path, capsys):
+        """With both gram modes, the per_row_sum block of each element, whose
+        log row energies are taken once for all prefixes, is still its
+        prefix's own. A zero row and rows of far apart scales are in every
+        prefix but the shortest."""
+        rng = np.random.default_rng(26)
+        y = rng.standard_normal((self.N, 2)) @ rng.standard_normal((2, self.M))
+        y += 0.3 * rng.standard_normal((self.N, self.M))
+        y[self.M + 1] = 0.0
+        y[self.STEP :: 3] *= 2.0**300
+        lines = [",".join(repr(float(v)) for v in row) + "\n" for row in y]
+        path = tmp_path / "x.csv"
+        path.write_text("".join(lines))
+        lengths = [self.N, self.M, self.STEP + 1, 2 * self.STEP - 1, self.STEP + 1]
+        flags = ["--raw", "--no-header", "--reproducible", "--both-gram-modes"]
+        status, out, err = _run(
+            ["compare", "--input", str(path), "--lengths", ",".join(map(str, lengths))] + flags,
+            capsys,
+        )
+        assert status == 0, err
+        for length, report in zip(lengths, json.loads(out)):
+            assert report.pop("length") == length
+            assert report["alt"]["gram_mode"] == "per_row_sum"
+            prefix = tmp_path / f"prefix{length}.csv"
+            prefix.write_text("".join(lines[:length]))
+            status, expected, _ = _run(["select", "--input", str(prefix)] + flags, capsys)
+            assert status == 0
+            report["input"]["path"] = str(prefix)
+            assert json.dumps(report, indent=2) + "\n" == expected
+
+
+class TestOneStackedPass:
+    """select and compare score every prefix in one call of the stacked
+    kernel per gram mode, however many prefixes there are."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The stack height of each call of the kernel."""
+        calls, real = [], complexity.score_stack
+
+        def spy(spectra, log_gram, epsilon):
+            calls.append(len(spectra.n))
+            return real(spectra, log_gram, epsilon)
+
+        monkeypatch.setattr(complexity, "score_stack", spy)
+        return calls
+
+    @pytest.mark.parametrize("lengths", ["500", "300,200,500,200", ",".join(map(str, range(30, 501, 5)))])
+    @pytest.mark.parametrize("modes", [[], ["--both-gram-modes"]])
+    def test_compare(self, calls, capsys, lengths, modes):
+        status, out, err = _run(
+            ["compare", "--synthetic", "lin", "--n", "500", "--m", "30", "--true-k", "5",
+             "--seed", "7", "--lengths", lengths, "--reproducible"] + modes,
+            capsys,
+        )
+        assert status == 0, err
+        assert calls == [len(set(lengths.split(",")))] * (1 + len(modes))
+        assert len(json.loads(out)) == len(lengths.split(","))
+
+    def test_select(self, calls, capsys):
+        status, _, err = _run(LIN10 + ["--both-gram-modes"], capsys)
+        assert status == 0, err
+        assert calls == [1, 1]
 
 
 class TestGenerate:

@@ -17,8 +17,8 @@ from mdlrank import (
     svd,
     tail_energy,
 )
-from mdlrank import complexity
-from mdlrank.complexity import ScoreTable, _gap_ratio, regression_nml
+from mdlrank import complexity, quantized_unitary_log_count_bound
+from mdlrank.complexity import ScoreTable, _gap_ratio, regression_nml, score_stack
 from helpers import planted_rank_matrix
 
 # seeded once per example: deterministic, and no example database on disk
@@ -117,6 +117,74 @@ class TestStochasticComplexityTerms:
         assert math.isfinite(table.lower_total[4 - 1])
 
 
+class TestScoreStack:
+    """The stacked kernel scores each spectrum of a stack exactly as it
+    scores that spectrum alone, whatever else is in the stack."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 40),
+        rows=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_each_row_is_its_spectrum_scored_alone(self, seed, m, rows, data):
+        """Mixed row counts and scales, zero values, and tails below
+        TAIL_FLOOR: every cell of every row has the bits of score_table."""
+        rng = np.random.default_rng(seed)
+        spectra = []
+        for _ in range(rows):
+            values = np.sort(np.abs(rng.standard_normal(m)))[::-1]
+            values = np.ldexp(values, data.draw(st.integers(-600, 600), label="exponent"))
+            cliff = data.draw(st.integers(1, m), label="cliff")
+            values[cliff:] = np.ldexp(values[cliff:], -data.draw(st.integers(0, 800), label="drop"))
+            values[m - data.draw(st.integers(0, m), label="zeros"):] = 0.0
+            spectra.append(Spectrum(m + data.draw(st.integers(0, 500), label="extra"), values))
+        log_gram = [data.draw(st.floats(-1e3, 1e3), label="log_gram") for _ in range(rows)]
+        epsilon = 1 / data.draw(st.integers(m + 1, 4 * m), label="1/epsilon")
+        stack = Spectrum(
+            n=np.array([s.n for s in spectra]),
+            singular_values=np.array([s.singular_values for s in spectra]),
+        )
+        table = score_stack(stack, log_gram, epsilon)
+        for p, spectrum in enumerate(spectra):
+            alone = score_table(spectrum, log_gram[p], epsilon)
+            for name, column, want in zip(ScoreTable._fields, table, alone):
+                got = column[p]
+                assert got.dtype == want.dtype, name
+                assert list(map(repr, got.tolist())) == list(map(repr, want.tolist())), (p, name)
+
+
+class TestSlack:
+    """``delta_upper = m*k*ln(2/(m*eps))`` charges ln(2/(m*eps)) nats per
+    loadings entry. It is not criterion 7's count of quantized
+    orthonormal-column matrices, which charges about ln(2/eps + 1) - 1/2
+    per entry, and at the default step it lies below that count for every
+    m up to 300."""
+
+    def test_below_the_count_bound_at_the_default_step(self):
+        worst = 0.0
+        for m in range(2, 301):
+            epsilon = default_epsilon(m)
+            slack = score_table(Spectrum(m, np.ones(m)), 0.0, epsilon).delta_upper
+            for k, value in enumerate(slack.tolist(), start=1):
+                bound = quantized_unitary_log_count_bound(m, k, epsilon)
+                assert 0 < value < bound, (m, k)
+                worst = max(worst, value / bound)
+        assert worst == pytest.approx(0.7168, abs=1e-4)  # at m = 3, k = 2
+
+    @pytest.mark.parametrize(
+        "m, k, slack, bound",
+        [(30, 5, 207.9, 637.8), (30, 10, 415.9, 1270.5), (300, 10, 4158.9, 19792.7)],
+    )
+    def test_recorded_figures(self, m, k, slack, bound):
+        epsilon = default_epsilon(m)
+        table = score_table(Spectrum(m, np.ones(m)), 0.0, epsilon)
+        assert table.delta_upper[k - 1] == pytest.approx(slack, abs=0.05)
+        assert table.delta_upper[k - 1] == pytest.approx(m * k * math.log(4.0), rel=1e-15)
+        assert quantized_unitary_log_count_bound(m, k, epsilon) == pytest.approx(bound, abs=0.05)
+
+
 class TestSelectRank:
     def test_recovers_planted_rank(self):
         rng = np.random.default_rng(100)
@@ -211,7 +279,8 @@ class TestArgminTieBreaking:
         zeros = np.zeros(5)
         tied = ScoreTable(k, zeros, zeros, zeros, zeros, upper - lower, lower, upper,
                           _gap_ratio(lower, upper), np.zeros(5, dtype=bool))
-        monkeypatch.setattr(complexity, "score_table", lambda *args: tied)
+        stack = ScoreTable(*(column[None] for column in tied))
+        monkeypatch.setattr(complexity, "score_stack", lambda *args: stack)
         rep = select_rank(np.random.default_rng(31).standard_normal((12, 6)))
         assert (rep.k_lower_opt, rep.k_upper_opt, rep.k_bracket) == (2, 3, (2, 3))
 

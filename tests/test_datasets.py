@@ -143,11 +143,11 @@ class TestGenerateLin:
         ids=["default", "all-sources", "noiseless", "mix-range", "one-row", "tall"],
     )
     def test_follows_the_documented_recipe_bit_for_bit(self, spec):
-        """The matrix is column-major, and equal bit for bit to the recipe
-        built on a row-major array."""
+        """The matrix is column-major, and equal bit for bit, the sign of
+        every zero included, to the recipe built on a row-major array."""
         x = generate_lin(spec)
         assert x.flags.f_contiguous
-        assert np.array_equal(x, self._recipe(spec))
+        assert x.tobytes() == self._recipe(spec).tobytes()
 
     def test_mix_overflow_names_the_first_bad_column(self):
         spec = SyntheticSpec(n=5, m=8, true_k=2, mix_low=-1e308, mix_high=0.0, seed=3)
