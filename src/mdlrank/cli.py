@@ -164,8 +164,9 @@ def _run_reports(args, descriptor, matrix, epsilon, lengths):
     and its correlation eigenvalues, or why it has none, are kept; then
     every prefix is scored in one stacked pass per gram mode."""
     m = matrix.shape[1]
-    values, correlations, reasons = [], [], []
+    ns, values, correlations, reasons = [], [], [], []
     for factor in prefix_factors(matrix, lengths):
+        ns.append(factor.n)
         values.append(factor_spectrum(factor).singular_values)
         try:
             correlations.append(correlation_values(factor))
@@ -173,7 +174,7 @@ def _run_reports(args, descriptor, matrix, epsilon, lengths):
         except DegenerateInputError as exc:
             correlations.append(np.zeros(m))  # a placeholder: its count is not reported
             reasons.append(str(exc))
-    spectra = Spectrum(n=np.array(sorted(set(lengths))), singular_values=np.array(values))
+    spectra = Spectrum(n=np.array(ns), singular_values=np.array(values))
     modes = [args.gram_mode]
     if args.both_gram_modes:  # the other mode, reported under "alt"
         modes += [mode for mode in GRAM_MODES if mode != args.gram_mode]

@@ -17,7 +17,9 @@ The residual energies are tail sums of the squared singular values, so the
 whole table is a function of the singular spectrum (and, for the
 ``per_row_sum`` gram mode, of the row energies). Energies are formed in log
 space from exactly rescaled values, so no data scale overflows or
-underflows them. One kernel, :func:`score_stack`, scores a stack of spectra
+underflows them, as long as the largest singular value is within the
+float64 range (:func:`~mdlrank.linalg.factor_spectrum` refuses one beyond
+it). One kernel, :func:`score_stack`, scores a stack of spectra
 at once, such as those of every prefix ``compare`` analyses; a single
 spectrum (:func:`score_table`, :func:`select_rank`) is a stack of one.
 """
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .linalg import BLOCK_FACTOR, Spectrum, binary_scaled, singular_spectrum
+from .linalg import BLOCK_FACTOR, Spectrum, as_matrix, binary_scaled, factor_spectrum, prefix_factors
 from .quantization import validate_epsilon
 
 # substituted for the residual energy before taking ln, so exactly low-rank
@@ -179,17 +181,14 @@ def _gap_ratio(lower_total: np.ndarray, upper_total: np.ndarray) -> np.ndarray:
 def _log_row_energies(x) -> np.ndarray:
     """Natural log of each row's energy X_i . X_i, floored at TAIL_FLOOR (a
     zero row). The rows are taken a grid block at a time, so no n x m copy
-    is made, and each block's entries are checked finite as they are read.
-    Each block is read as a row-major copy, since numpy sums a row in an
-    order that depends on its memory layout; so the energies do not depend
-    on the layout of *x*. A row's value reads that row alone, so those of a
-    prefix of *x* are the first entries of those of *x*."""
+    is made. Each block is read as a row-major copy, since numpy sums a row
+    in an order that depends on its memory layout; so the energies do not
+    depend on the layout of *x*. A row's value reads that row alone, so
+    those of a prefix of *x* are the first entries of those of *x*."""
     step = BLOCK_FACTOR * (x.shape[1] + 1)
     log_rows = []
     for start in range(0, len(x), step):
         block = np.ascontiguousarray(x[start : start + step])
-        if not np.isfinite(block).all():
-            raise DomainError("matrix entries must be finite (NaN/Inf rejected)")
         scaled, exponent = binary_scaled(block, axis=1)
         scaled *= scaled  # a fresh array: square in place
         with np.errstate(divide="ignore"):
@@ -218,8 +217,9 @@ def _log_grams(spectra: Spectrum, gram_mode: str, x) -> np.ndarray:
 
 def select_ranks(spectra: Spectrum, x, epsilon: float, gram_mode: str) -> list:
     """The :class:`ComplexityReport` of each spectrum of the stack *spectra*
-    (:func:`score_stack`), that of the first ``spectra.n[p]`` rows of *x*,
-    from one call of the kernel. Ties break toward the smallest k."""
+    (:func:`score_stack`), that of the first ``spectra.n[p]`` rows of *x*, a
+    checked matrix (:func:`~mdlrank.linalg.as_matrix`), from one call of
+    the kernel. Ties break toward the smallest k."""
     if gram_mode not in GRAM_MODES:
         raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
     # only an all-zero matrix has an all-zero spectrum
@@ -235,29 +235,18 @@ def select_ranks(spectra: Spectrum, x, epsilon: float, gram_mode: str) -> list:
     ]
 
 
-def select_rank(
-    x, epsilon: float = None, gram_mode: str = "full_gram", spectrum: Spectrum = None
-) -> ComplexityReport:
+def select_rank(x, epsilon: float = None, gram_mode: str = "full_gram") -> ComplexityReport:
     """Score every k in 1..m-1 and select by argmin of both totals: the one
     report of :func:`select_ranks` on *x* alone.
 
     Ties break toward the smallest k. ``epsilon=None`` uses the default
-    1/(2m). The matrix must be taller than wide (or square) with at least
-    one nonzero entry. ``spectrum`` is the :func:`singular_spectrum` of
-    *x* when the caller already has it (to share one decomposition between
-    gram modes and baselines); otherwise it is computed here. Only the
-    per_row_sum mode reads the entries of *x* beyond the spectrum.
+    1/(2m). The matrix must be taller than wide (or square), with finite
+    entries and at least one nonzero entry.
     """
-    if spectrum is None:
-        spectrum = singular_spectrum(x)
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape != (spectrum.n, len(spectrum.singular_values)):
-        raise DomainError(
-            f"spectrum of a {spectrum.n} x {len(spectrum.singular_values)} matrix "
-            f"does not match the input of shape {a.shape}"
-        )
+    a = as_matrix(x)
+    (factor,) = prefix_factors(a, [len(a)])
     if epsilon is None:
         epsilon = default_epsilon(a.shape[1])
-    stack = Spectrum(n=[spectrum.n], singular_values=[spectrum.singular_values])
+    stack = Spectrum(n=[factor.n], singular_values=[factor_spectrum(factor).singular_values])
     (report,) = select_ranks(stack, a, epsilon, gram_mode)
     return report

@@ -225,8 +225,11 @@ def _parse_cells(path, has_header):
 def load_csv(path, has_header: bool = True) -> PriceTable:
     """Load a comma-separated price table: finite, strictly positive reals."""
     fast = _read_fast(path, has_header)
-    if fast is not None and fast[1].shape[0] >= 2 and (fast[1] > 0).all():
-        return PriceTable(column_names=fast[0], prices=fast[1])
+    if fast is not None:
+        try:
+            return PriceTable(column_names=fast[0], prices=fast[1])
+        except (DegenerateInputError, DomainError):
+            pass  # the scanner names the rule the file breaks, with its coordinates
     names, rows = _parse_cells(path, has_header)
     if len(rows) < 2:
         raise DegenerateInputError(

@@ -8,6 +8,7 @@ Everything here is a pure function of immutable inputs; returned arrays are
 freshly allocated and safe to share across threads.
 """
 
+import math
 import numpy as np
 from typing import NamedTuple
 
@@ -206,9 +207,17 @@ def _singular_values(a):
 def factor_spectrum(f: Factor) -> Spectrum:
     """Singular values of the factored rows of X, which are those of
     ``R[:m, :m]``. The column exponents are put back relative to the
-    largest before the SVD and that one after it, so no entry overflows."""
+    largest before the SVD and that one after it, so no entry overflows.
+    Finite entries can still have a largest singular value beyond the
+    float64 range (about 1.8e308); that is a DomainError, decided from the
+    binary exponents before any value is formed."""
     top = int(f.exponent.max())
     values = _singular_values(np.ldexp(f.r[:-1, :-1], f.exponent - top))
+    if math.frexp(values[0])[1] + top > 1024:
+        raise DomainError(
+            "the largest singular value is beyond the float64 range (about 1.8e308); "
+            "rescale the data"
+        )
     return Spectrum(n=f.n, singular_values=np.ldexp(values, top))
 
 

@@ -362,11 +362,12 @@ class TestExtremeScales:
             assert any(floored) == (scale < 1.0)
             assert not any(row["floored"] for row in unit["per_k"])
 
-    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160])
+    # at 1e300 the largest singular value is about 4e301
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300, 1e-160, 1e-300])
     def test_select_exits_cleanly_with_finite_totals(self, tmp_path, capsys, scale):
         self._check_finite(tmp_path, capsys, scale, ["select"])
 
-    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e-160])
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300, 1e-160, 1e-300])
     def test_compare_exits_cleanly_with_finite_totals(self, tmp_path, capsys, scale):
         # m = 8 columns: prefixes of m and m + 1 rows, and either side of
         # the first grid block of 4 * (m + 1) = 36 rows
@@ -568,6 +569,40 @@ class TestScreeRange:
         assert "--normalized" in err
         status, out, _ = _run(["scree", "--input", str(p), "--raw", "--normalized"], capsys)
         assert status == 0 and "inf" not in out
+
+
+class TestSpectrumRange:
+    """Finite entries whose largest singular value is beyond the float64
+    range (about 4.5e308 here): every command exits 4 naming the range,
+    writes nothing and shows no numpy warning or traceback. Each runs in a
+    new process, so stderr is exactly what a user sees."""
+
+    @pytest.fixture(scope="class", params=["all", "one-column"])
+    def huge(self, request, tmp_path_factory):
+        """2000 x 5 Gaussian entries, all of them or only column 3 scaled
+        by 1e307."""
+        x = np.random.default_rng(0).standard_normal((2000, 5))
+        x[:, 2 if request.param == "one-column" else slice(None)] *= 1e307
+        path = tmp_path_factory.mktemp("range") / f"{request.param}.csv"
+        lines = [",".join(f"c{j}" for j in range(5))]
+        lines += [",".join(repr(float(v)) for v in row) for row in x]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["select", "--both-gram-modes"], ["select", "--gram-mode", "per_row_sum"],
+         ["compare", "--lengths", "100,2000"], ["scree"], ["scree", "--normalized"]],
+        ids=["select", "per_row_sum", "compare", "scree", "normalized"],
+    )
+    def test_exits_4_naming_the_range(self, huge, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdlrank.cli", *argv, "--input", huge, "--raw"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+        assert "float64 range" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestCompare:

@@ -18,7 +18,7 @@ from mdlrank import (
     tail_energy,
 )
 from mdlrank import complexity, quantized_unitary_log_count_bound
-from mdlrank.complexity import ScoreTable, _gap_ratio, regression_nml, score_stack
+from mdlrank.complexity import GRAM_MODES, ScoreTable, _gap_ratio, regression_nml, score_stack
 from helpers import planted_rank_matrix
 
 # seeded once per example: deterministic, and no example database on disk
@@ -242,28 +242,26 @@ class TestSelectRank:
             select_rank(np.zeros((8, 4)))
 
     def test_too_small_or_wide_rejected(self):
-        with pytest.raises(DomainError):
-            select_rank(np.ones((1, 3)))
-        with pytest.raises(DomainError, match="transpose"):
-            select_rank(np.ones((3, 5)))
+        """In either gram mode, as is a NaN entry: the matrix is checked
+        once, where it enters, before anything is scored."""
+        nan = np.random.default_rng(25).standard_normal((12, 4))
+        nan[7, 2] = np.nan
+        for gram_mode in GRAM_MODES:
+            with pytest.raises(DomainError):
+                select_rank(np.ones((1, 3)), gram_mode=gram_mode)
+            with pytest.raises(DomainError, match="transpose"):
+                select_rank(np.ones((3, 5)), gram_mode=gram_mode)
+            with pytest.raises(DomainError, match="finite"):
+                select_rank(nan, gram_mode=gram_mode)
 
-    def test_shared_spectrum_must_match_the_matrix(self):
-        rng = np.random.default_rng(24)
-        x = rng.standard_normal((12, 4))
-        shared = select_rank(x, spectrum=singular_spectrum(x))
-        own = select_rank(x).per_k
-        assert all(np.array_equal(a, b) for a, b in zip(shared.per_k, own))
-        with pytest.raises(DomainError, match="does not match"):
-            select_rank(x, spectrum=singular_spectrum(x[:-1]))
-
-    def test_shared_spectrum_still_checks_the_matrix(self):
-        x = np.random.default_rng(25).standard_normal((12, 4))
-        spectrum = singular_spectrum(x)
-        with pytest.raises(DomainError, match="does not match"):
-            select_rank(x.ravel(), spectrum=spectrum)
-        x[7, 2] = np.nan
-        with pytest.raises(DomainError, match="finite"):
-            select_rank(x, gram_mode="per_row_sum", spectrum=spectrum)
+    def test_largest_singular_value_beyond_float64_rejected(self):
+        """Finite entries whose largest singular value (here about 4.5e308)
+        is beyond the float64 range: a DomainError in either gram mode, not
+        infinite totals or an overflow warning."""
+        x = np.random.default_rng(0).standard_normal((2000, 5)) * 1e307
+        for gram_mode in GRAM_MODES:
+            with pytest.raises(DomainError, match="float64 range"):
+                select_rank(x, gram_mode=gram_mode)
 
     def test_invalid_gram_mode(self):
         with pytest.raises(DomainError):

@@ -15,11 +15,12 @@ from mdlrank import (
 )
 from mdlrank import linalg
 from mdlrank.baselines import kaiser, kneedle, scree
-from mdlrank.complexity import select_rank
+from mdlrank.complexity import default_epsilon, select_ranks
 from mdlrank.linalg import (
     BLOCK_FACTOR,
     GRAM_TAU,
     UNIT_ROUNDOFF,
+    Spectrum,
     correlation_values,
     factor_spectrum,
     jacobi_svd,
@@ -87,6 +88,16 @@ class TestSingularSpectrum:
             singular_spectrum(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(DomainError, match="transpose"):
             singular_spectrum(np.ones((2, 5)))
+
+    def test_largest_value_must_be_within_float64(self):
+        """Every entry may be finite while the largest singular value is
+        not: the float64 maximum itself is kept exactly, and a value
+        sqrt(2) times larger is a DomainError, with no overflow warning."""
+        big = np.finfo(np.float64).max
+        spectrum = singular_spectrum(np.array([[big, 0.0], [0.0, 1.0]]))
+        assert spectrum.singular_values.tolist() == [big, 1.0]
+        with pytest.raises(DomainError, match="float64 range"):
+            singular_spectrum(np.array([[big, 0.0], [big, 1.0]]))
 
     def test_falls_back_to_jacobi_when_lapack_fails(self, monkeypatch):
         """Both small SVDs of the R factor fall back to one-sided Jacobi."""
@@ -189,9 +200,11 @@ class TestGramRoute:
 
     @staticmethod
     def _selection(x, factor):
-        """k_lower, k_upper, the bracket, Kaiser and kneedle of *x*."""
+        """k_lower, k_upper, the bracket, Kaiser and kneedle of *x* from
+        *factor*, scored as a one-row stack."""
         spectrum = factor_spectrum(factor)
-        report = select_rank(x, spectrum=spectrum)
+        stack = Spectrum(n=[factor.n], singular_values=[spectrum.singular_values])
+        (report,) = select_ranks(stack, x, default_epsilon(x.shape[1]), "full_gram")
         return (
             report.k_lower_opt, report.k_upper_opt, report.k_bracket,
             kaiser(correlation_values(factor)), kneedle(scree(spectrum, normalized=True)),
