@@ -241,7 +241,9 @@ def _resolve(path):
     made yet, or "fd N" for a descriptor with no file.
     The mode is the permission bits of the new file staged for a missing or
     regular file, and None for an output written in place. A path that
-    cannot be stat-ed for any reason but its absence is a usage error."""
+    cannot be stat-ed for any reason but its absence is a usage error, and
+    so is a missing path whose last component is empty, "." or "..", which
+    names a directory that the resolved path would drop."""
     streams = {1: sys.stdout, 2: sys.stderr}
 
     def identity(fd):
@@ -258,6 +260,8 @@ def _resolve(path):
     try:
         info = os.stat(path)
     except FileNotFoundError:
+        if os.path.basename(path) in ("", ".", ".."):
+            raise UsageError(f"cannot write {path}: the path does not end in a file name") from None
         return path, None, os.path.realpath(path), 0o666
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None

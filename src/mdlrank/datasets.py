@@ -150,10 +150,11 @@ def generator_metadata(spec: SyntheticSpec) -> dict:
 def _read_fast(path, has_header):
     """One streaming ``np.loadtxt`` read of a numeric CSV.
 
-    Returns (names, matrix) with at least one row, every cell finite and
-    every row as wide as the names; returns None whenever the file needs
-    the scanner's verdict instead (a cell loadtxt cannot convert, a ragged
-    row, no data, a non-finite cell, a quoted header, an unreadable file).
+    Returns (names, matrix) with at least one row and every row as wide as
+    the names; returns None whenever the file needs the scanner's verdict
+    instead (a cell loadtxt cannot convert, a ragged row, no data, a quoted
+    header, an unreadable file). Its cells may be NaN or infinite: each
+    caller checks them once, and sends such a file to the scanner.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -174,7 +175,7 @@ def _read_fast(path, has_header):
         return None
     if names is None:
         names = tuple(f"col_{j + 1}" for j in range(matrix.shape[1]))
-    if matrix.shape[0] == 0 or matrix.shape[1] != len(names) or not np.isfinite(matrix).all():
+    if matrix.shape[0] == 0 or matrix.shape[1] != len(names):
         return None
     return names, matrix
 
@@ -251,7 +252,7 @@ def load_matrix_csv(path, has_header: bool = True):
     Returns (column_names, matrix).
     """
     fast = _read_fast(path, has_header)
-    if fast is not None:
+    if fast is not None and np.isfinite(fast[1]).all():
         return fast
     names, rows = _parse_cells(path, has_header)
     if not rows:

@@ -4,8 +4,9 @@ Householder QR folds) and the singular and correlation spectra read from
 it, the full SVD with truncated reconstruction, residual energy, and exact
 power-of-two scaling.
 
-Everything here is a pure function of immutable inputs; returned arrays are
-freshly allocated and safe to share across threads.
+Every function here is pure but :func:`prefix_factors`, a generator whose
+every factor depends on its own rows alone; returned arrays are freshly
+allocated and safe to share across threads.
 """
 
 import math
@@ -257,7 +258,8 @@ def svd(x) -> SvdResult:
     Requires n >= m (transpose externally otherwise; the singular values of
     the transpose are identical). Falls back to one-sided Jacobi rotations
     if the LAPACK driver fails to converge. Only the reconstruction
-    (:func:`truncate`) needs U and V; scoring uses :func:`singular_spectrum`.
+    (:func:`truncate`) needs U and V; scoring reads the spectrum of each
+    prefix's R factor (:func:`prefix_factors`, :func:`factor_spectrum`).
     """
     a = as_matrix(x)
     _require_tall(a, "svd")
@@ -269,28 +271,37 @@ def svd(x) -> SvdResult:
 
 
 def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
-    """One-sided Jacobi SVD, a self-contained cross-check for :func:`svd`.
+    """One-sided Jacobi SVD, the cross-check for :func:`svd` and the
+    fallback of both small SVDs when LAPACK fails to converge.
 
-    Rotates column pairs until all are mutually orthogonal. Raises
+    Rotates the column pairs of a copy of *x*, scaled by the power of two
+    of :func:`binary_scaled`, until every pair is orthogonal to working
+    accuracy, ``|cos(a_p, a_q)| <= m·u`` with u the unit roundoff (Demmel &
+    Veselić, SIAM J. Matrix Anal. Appl. 13(4), 1992), and puts the exponent
+    back on the singular values. The rule does not depend on the scale of
+    *x*: scaling it by 2**k leaves every bit of U and V as it is and scales
+    the singular values exactly, and scaling its columns apart leaves each
+    singular value to relative accuracy. A column more than about 2**-537
+    below the largest entry has a squared norm that underflows to 0, and
+    counts as null, as on the Gram route; the columns of U for null
+    directions are completed by one Householder QR. Raises
     :class:`ConvergenceError` if that takes more than *max_sweeps* sweeps.
     """
-    a = as_matrix(x).copy()
+    a, exponent = binary_scaled(as_matrix(x))
     _require_tall(a, "jacobi_svd")
     n, m = a.shape
     v = np.eye(m)
-    scale = np.linalg.norm(a)
-    tol = 1e-15 * max(scale, 1.0) ** 2
     for _ in range(max_sweeps):
-        off = 0.0
+        rotated = False
         for p in range(m - 1):
             for q in range(p + 1, m):
-                app = a[:, p] @ a[:, p]
-                aqq = a[:, q] @ a[:, q]
+                norm_p, norm_q = np.linalg.norm(a[:, p]), np.linalg.norm(a[:, q])
                 apq = a[:, p] @ a[:, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= tol:
+                # divide by each norm in turn: their product can underflow
+                if not (norm_p and norm_q) or abs(apq / norm_p / norm_q) <= m * UNIT_ROUNDOFF:
                     continue
-                zeta = (aqq - app) / (2.0 * apq)
+                rotated = True
+                zeta = (norm_q - norm_p) * (norm_q + norm_p) / (2.0 * apq)
                 # sign +1 at zeta = 0: columns of equal norm still rotate
                 t = (1.0 if zeta >= 0 else -1.0) / (abs(zeta) + np.hypot(1.0, zeta))
                 c = 1.0 / np.hypot(1.0, t)
@@ -298,7 +309,7 @@ def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
                 rot = np.array([[c, s], [-s, c]])
                 a[:, [p, q]] = a[:, [p, q]] @ rot
                 v[:, [p, q]] = v[:, [p, q]] @ rot
-        if off <= tol:
+        if not rotated:
             break
     else:
         raise ConvergenceError(
@@ -306,29 +317,13 @@ def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
         )
     norms = np.linalg.norm(a, axis=0)
     order = np.argsort(-norms, kind="stable")
-    sv = norms[order]
-    u = np.empty_like(a)
-    tiny = 1e-300
-    for j, col in enumerate(order):
-        if sv[j] > tiny:
-            u[:, j] = a[:, col] / sv[j]
-        else:
-            # null direction: extend the computed columns orthonormally
-            u[:, j] = _orthonormal_fill(u[:, :j], n)
-    return SvdResult(u=u, singular_values=sv, v=v[:, order])
-
-
-def _orthonormal_fill(basis, n):
-    """A unit vector orthogonal to the columns of *basis* (n-dimensional)."""
-    for i in range(n):
-        cand = np.zeros(n)
-        cand[i] = 1.0
-        if basis.shape[1]:
-            cand -= basis @ (basis.T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            return cand / norm
-    raise ConvergenceError("could not extend orthonormal basis")
+    rank = np.count_nonzero(norms)
+    u = a[:, order[:rank]] / norms[order[:rank]]
+    if rank < m:
+        # a Householder Q is orthogonal whatever the rank of the padding
+        completed = np.linalg.qr(np.hstack([u, np.eye(n, m - rank)]))[0]
+        u = np.hstack([u, completed[:, rank:]])
+    return SvdResult(u=u, singular_values=np.ldexp(norms[order], exponent.item()), v=v[:, order])
 
 
 def truncate(s: SvdResult, k: int) -> np.ndarray:

@@ -1074,6 +1074,35 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt", "loop"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--input", "{fixture}", "--out", "d/"],
+            ["select", "--input", "{fixture}", "--out", "d//"],
+            ["select", "--input", "{fixture}", "--out", "d/."],
+            ["select", "--input", "{fixture}", "--out", "d/.."],
+            ["select", "--input", "{fixture}", "--out", ""],
+            ["select", "--input", "{fixture}", "--table", "d/"],
+            ["scree", "--input", "{fixture}", "--out", "d/"],
+            ["generate", "--n", "10", "--m", "4", "--true-k", "2", "--out", "d/"],
+        ],
+        ids=["out-slash", "out-slashes", "out-dot", "out-dotdot", "out-empty",
+             "table-slash", "scree-slash", "generate-slash"],
+    )
+    def test_missing_path_that_names_a_directory(self, tmp_path, capsys, monkeypatch, argv):
+        """A missing path whose last component is empty, "." or ".." names
+        a directory: a usage error before any file is opened, so no file
+        takes the directory's name and nothing is staged beside it."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [arg.format(fixture=bundled_fixture_path()) for arg in argv]
+        status, stdout, err = _run(argv, capsys)
+        assert status == 2 and stdout == ""
+        path = argv[argv.index("--table" if "--table" in argv else "--out") + 1]
+        assert f"mdlrank: cannot write {path}: the path does not end in a file name" in err
+        assert list(work.iterdir()) == [] and list(tmp_path.iterdir()) == [work]
+
     @pytest.mark.parametrize("directory", ["lin.csv", "lin.csv.meta.json"])
     def test_generate_leaves_no_file(self, tmp_path, capsys, directory):
         """When either the CSV or its sidecar is an existing directory,

@@ -228,8 +228,13 @@ class TestFileLineCoordinates:
             ("a,b\n\n1,2\n\n\n1.5\n", load_csv, "ragged row: expected 2 cells, got 1 (row 6)"),
             ("\na,b\n1,2\r\n\r\n1.5,-2.5\n", load_csv, "nonpositive price -2.5 (row 5, column 2)"),
             ('a,b\n"1\n",2\nx,3\n', load_matrix_csv, "non-numeric cell 'x' (row 4, column 1)"),
+            ("a,b\n1,2\n\n3,nan\n", load_csv, "non-finite cell 'nan' (row 4, column 2)"),
+            ("a,b\n1,2\n\n3,nan\n", load_matrix_csv, "non-finite cell 'nan' (row 4, column 2)"),
+            ("a,b\n\n-inf,2\n3,4\n", load_csv, "non-finite cell '-inf' (row 3, column 1)"),
+            ("a,b\n\ninf,2\n3,4\n", load_matrix_csv, "non-finite cell 'inf' (row 3, column 1)"),
         ],
-        ids=["bad-cell", "ragged-row", "nonpositive-price", "after-multi-line-record"],
+        ids=["bad-cell", "ragged-row", "nonpositive-price", "after-multi-line-record",
+             "price-nan", "matrix-nan", "price-minus-inf", "matrix-inf"],
     )
     def test_error_cites_file_line(self, tmp_path, text, load, message):
         p = tmp_path / "blanks.csv"
@@ -287,6 +292,21 @@ class TestVectorisedRead:
             names, matrix = load_matrix_csv(path, has_header=header)
             assert table.column_names == names == expected[0]
             assert table.prices.tobytes() == matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("load", [load_csv, load_matrix_csv])
+    def test_one_finiteness_pass_per_file(self, tmp_path, monkeypatch, load):
+        """A well-formed file's matrix is checked finite once: by
+        load_matrix_csv itself, or by the PriceTable that load_csv makes."""
+        p = _write_prices(tmp_path / "p.csv", 30, 4)
+        real, passes = np.isfinite, []
+
+        def counting(x, *args, **kwargs):
+            passes.append(np.shape(x) == (30, 4))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        load(p)
+        assert passes.count(True) == 1
 
     def test_cells_only_float_accepts_fall_back_to_the_scanner(self, tmp_path):
         p = tmp_path / "odd.csv"

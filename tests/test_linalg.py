@@ -268,18 +268,53 @@ class TestGramRoute:
 
 
 class TestJacobiSvd:
-    def test_matches_lapack(self):
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+    def test_matches_lapack(self, scale):
+        """The stopping rule is relative to the column norms, so the
+        agreement with LAPACK does not depend on the scale of the data."""
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(2, 30))
             m = int(rng.integers(1, min(n, 10) + 1))
-            x = rng.standard_normal((n, m))
+            x = rng.standard_normal((n, m)) * scale
             a, b = svd(x), jacobi_svd(x)
-            np.testing.assert_allclose(
-                a.singular_values, b.singular_values, rtol=1e-10, atol=1e-10
-            )
+            np.testing.assert_allclose(b.singular_values, a.singular_values, rtol=1e-13, atol=0)
+            assert np.max(np.abs(b.u.T @ b.u - np.eye(m))) <= 1e-13
             recon = (b.u * b.singular_values) @ b.v.T
-            assert np.linalg.norm(recon - x) <= 1e-8 * max(1.0, np.linalg.norm(x))
+            assert np.max(np.abs(recon - x)) <= 1e-13 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("k", [1, -1, 300, -300, 1000, -1000])
+    def test_power_of_two_equivariance(self, k):
+        """Scaling by 2**k leaves every bit of U and V and scales each
+        singular value exactly."""
+        x = np.random.default_rng(8).standard_normal((9, 5))
+        a, b = jacobi_svd(x), jacobi_svd(np.ldexp(x, k))
+        assert b.u.tobytes() == a.u.tobytes() and b.v.tobytes() == a.v.tobytes()
+        assert b.singular_values.tobytes() == np.ldexp(a.singular_values, k).tobytes()
+
+    def test_relative_accuracy_on_graded_columns(self):
+        """One column scaled by 2**54: every singular value, the least
+        below 1e-17 of the largest, to relative accuracy against a 60-digit
+        SVD (LAPACK's is off by a third there)."""
+        from mpmath import mp, matrix, svd_r
+
+        rng = np.random.default_rng(0)
+        x = (random_orthonormal(rng, 7, 5) * np.logspace(0.0, -1.375, 5)) @ random_orthonormal(rng, 5).T
+        x = np.ldexp(x * rng.uniform(0.1, 10.0, 5), [0, 0, 0, 54, 0])
+        with mp.workdps(60):
+            exact = sorted((float(v) for v in svd_r(matrix(x.tolist()), compute_uv=False)), reverse=True)
+        np.testing.assert_allclose(jacobi_svd(x).singular_values, exact, rtol=1e-13, atol=0)
+
+    def test_columns_far_below_the_peak_are_null(self):
+        """Columns 2**-1000 below the largest entry have squared norms that
+        underflow: no warning, no ConvergenceError, both null, U still
+        orthonormal."""
+        x = np.random.default_rng(9).standard_normal((8, 6))
+        x[:, [1, 4]] = np.ldexp(x[:, [1, 4]], -1000)
+        s = jacobi_svd(x)
+        assert np.count_nonzero(s.singular_values[:4]) == 4
+        assert s.singular_values[4:].tolist() == [0.0, 0.0]
+        assert np.max(np.abs(s.u.T @ s.u - np.eye(6))) <= 1e-13
 
     def test_rank_deficient_input_keeps_orthonormal_u(self):
         x = np.outer(np.ones(5), [1.0, 2.0, 3.0])
