@@ -34,9 +34,13 @@ from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseEr
 from .linalg import Spectrum, correlation_values, factor_spectrum, prefix_factors
 from .quantization import validate_epsilon
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # the fields that open every JSON document the CLI writes
 HEADER = {"schema_version": SCHEMA_VERSION, "tool": "mdlrank", "version": __version__}
+# the per_k columns of a JSON report. The ScoreTable's other four are
+# closed forms of the report's n, m and epsilon and the row's k, or of its
+# totals (README), so only select --table writes them.
+REPORT_COLUMNS = ("k", "tail_term", "gram_term", "lower_total", "upper_total", "floored")
 
 
 class UsageError(Exception):
@@ -339,35 +343,32 @@ _leaf = json.JSONEncoder(allow_nan=False).encode
 
 def _tokens(column):
     """The JSON text of each cell of one score column: ints and floats by
-    their repr, as json writes them, booleans as true/false and None as
-    null. A non-finite float raises json's own ValueError."""
+    their repr, as json writes them, and booleans as true/false. A
+    non-finite float raises json's own ValueError."""
     values = column.tolist()
     kind = column.dtype.kind
     if kind == "b":
         return ["true" if value else "false" for value in values]
     if kind == "i":
         return list(map(int.__repr__, values))
-    if kind == "f":
-        tokens = list(map(float.__repr__, values))
-    else:  # an object column: floats, and None where a value is undefined
-        tokens = ["null" if value is None else float.__repr__(value) for value in values]
-    for bad in ("nan", "inf", "-inf"):
-        if bad in tokens:
-            _leaf(float(bad))
-    return tokens
+    finite = np.isfinite(column)
+    if not finite.all():
+        _leaf(float(column[~finite][0]))
+    return list(map(float.__repr__, values))
 
 
 def _encode(value, pad=""):
     """The text of json.dumps(value, indent=2, allow_nan=False) for string
-    keys, reading a ScoreTable as its list of row dicts: a table is written
-    through one row template from its columns, with no dict per row, and
-    every other leaf through json itself. *pad* is the indent of the line
-    *value* starts on."""
+    keys, reading a ScoreTable as its list of row dicts over
+    REPORT_COLUMNS: a table is written through one row template from those
+    columns, with no dict per row, and every other leaf through json
+    itself. *pad* is the indent of the line *value* starts on."""
     inner = pad + "  "
     if isinstance(value, ScoreTable):
-        fields = ",\n".join(f"{inner}  {_leaf(name)}: {{}}" for name in value._fields)
+        fields = ",\n".join(f"{inner}  {_leaf(name)}: {{}}" for name in REPORT_COLUMNS)
         row = inner + "{{\n" + fields + "\n" + inner + "}}"  # braces doubled for format
-        items, brackets = map(row.format, *map(_tokens, value)), "[]"
+        columns = (getattr(value, name) for name in REPORT_COLUMNS)
+        items, brackets = map(row.format, *map(_tokens, columns)), "[]"
     elif isinstance(value, dict):
         items = (f"{inner}{_leaf(key)}: {_encode(item, inner)}" for key, item in value.items())
         brackets = "{}"

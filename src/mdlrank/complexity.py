@@ -53,7 +53,8 @@ def default_epsilon(m: int) -> float:
 class ScoreTable(NamedTuple):
     """Score columns for the candidate ranks k = 1..m-1, ascending in k.
 
-    One array per per-k report column, in report order; totals follow the
+    One array per column of the ``select --table`` CSV, in its order (a
+    JSON report writes ``cli.REPORT_COLUMNS`` of them); totals follow the
     module formula, and ``gap_ratio`` is the relative bracket width
     (:func:`_gap_ratio`). For a stack of spectra (:func:`score_stack`)
     each column is P x (m - 1), one row per spectrum.

@@ -159,29 +159,40 @@ class TestSelect:
         assert len(rows) == 30  # header + k = 1..29
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(1, 30)]
 
-    def test_per_k_rows_follow_the_score_formula_exactly(self, capsys):
-        """Every per-k row's derived columns equal, bit for bit, the module
-        formula applied to its other columns, and each argmin is the
+    def test_per_k_rows_rebuild_the_totals_by_the_readme_formula(self, capsys):
+        """The README formula rebuilds every per-k row's totals from its k,
+        tail_term and gram_term and the report's n, m and epsilon, to 1e-12
+        of the summed term magnitudes, in a select report with both gram
+        modes and in each element of a compare report; each argmin is the
         smallest k attaining its minimum."""
-        status, out, _ = _run(
-            ["select", "--input", str(bundled_fixture_path()), "--both-gram-modes",
-             "--reproducible"],
-            capsys,
-        )
+        fixture = ["--input", str(bundled_fixture_path()), "--both-gram-modes", "--reproducible"]
+        status, out, _ = _run(["select", *fixture], capsys)
         assert status == 0
-        report = json.loads(out)
-        for block in (report, report["alt"]):
-            rows = block["per_k"]
-            for row in rows:
-                lower, upper = row["lower_total"], row["upper_total"]
-                assert lower == (
-                    row["tail_term"] + row["gram_term"] + row["ratio_term"] - row["count_term"]
-                )
-                assert upper == lower + row["delta_upper"]
-                assert row["gap_ratio"] == (upper - lower) / abs(lower)
-            for total, key in (("lower_total", "k_lower_opt"), ("upper_total", "k_upper_opt")):
-                best = min(row[total] for row in rows)
-                assert block[key] == min(row["k"] for row in rows if row[total] == best)
+        reports = [json.loads(out)]
+        status, out, _ = _run(["compare", *fixture, "--lengths", "260,30,31,150"], capsys)
+        assert status == 0
+        reports += json.loads(out)
+        for report in reports:
+            n, m, epsilon = report["n"], report["m"], report["epsilon"]
+            for block in (report, report["alt"]):
+                rows = block["per_k"]
+                assert all(row.keys() == set(cli.REPORT_COLUMNS) for row in rows)
+                for row in rows:
+                    k = row["k"]
+                    terms = (
+                        row["tail_term"],
+                        row["gram_term"],
+                        (m * n - k * n - 1) * math.log(m / (m - k)),
+                        -(n * k + 1) * math.log(n * k),
+                    )
+                    tol = 1e-12 * sum(map(abs, terms))
+                    lower = math.fsum(terms)
+                    assert row["lower_total"] == pytest.approx(lower, rel=0, abs=tol)
+                    upper = lower + m * k * math.log(2 / (m * epsilon))
+                    assert row["upper_total"] == pytest.approx(upper, rel=0, abs=tol)
+                for total, key in (("lower_total", "k_lower_opt"), ("upper_total", "k_upper_opt")):
+                    best = min(row[total] for row in rows)
+                    assert block[key] == min(row["k"] for row in rows if row[total] == best)
 
     @requires_jsonschema
     def test_report_validates_against_shipped_schema(self, capsys):
@@ -203,10 +214,11 @@ class TestSelect:
 
 
 def _expanded(value):
-    """*value* with each ScoreTable turned into its list of row dicts, the
-    form json.dumps writes."""
+    """*value* with each ScoreTable turned into its list of row dicts over
+    the report's columns, the form json.dumps writes."""
     if isinstance(value, ScoreTable):
-        return [dict(zip(ScoreTable._fields, row)) for row in zip(*(c.tolist() for c in value))]
+        columns = [getattr(value, name).tolist() for name in cli.REPORT_COLUMNS]
+        return [dict(zip(cli.REPORT_COLUMNS, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {key: _expanded(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -224,7 +236,8 @@ FLOATS = st.one_of(
 @st.composite
 def score_tables(draw):
     """A ScoreTable of 1-40 rows: int k, seven float columns, a gap-ratio
-    column of floats and None, and a boolean floored column."""
+    column of floats and None, as score_stack gives it, and a boolean
+    floored column. Only the report's columns are written."""
     rows = draw(st.integers(1, 40))
 
     def column(elements):
@@ -271,7 +284,7 @@ class TestEncode:
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(
         table=score_tables(),
-        column=st.sampled_from(ScoreTable._fields[1:9]),
+        column=st.sampled_from(cli.REPORT_COLUMNS[1:-1]),
         bad=st.sampled_from([math.nan, math.inf, -math.inf]),
         data=st.data(),
     )
@@ -287,8 +300,8 @@ class TestEncode:
 
 class TestReportBytes:
     """Reports of an exactly low-rank input, whose tails are floored, are
-    the bytes json.dumps(indent=2) gives, and the --table rows are the
-    JSON per_k rows."""
+    the bytes json.dumps(indent=2) gives, and the --table rows keep all ten
+    columns, of which the report's columns are the JSON per_k rows."""
 
     @pytest.fixture
     def low_rank(self, tmp_path):
@@ -312,9 +325,10 @@ class TestReportBytes:
         assert all(any(row["floored"] for row in rows) for rows in self._blocks(report))
         with table.open(newline="") as fh:
             header, *cells = csv.reader(fh)
-        assert header == list(ScoreTable._fields)
-        assert cells == [
-            ["" if v is None else str(v) for v in row.values()] for row in report["per_k"]
+        assert header == list(ScoreTable._fields)  # all ten columns
+        kept = [header.index(name) for name in cli.REPORT_COLUMNS]
+        assert [[row[i] for i in kept] for row in cells] == [
+            [str(v) for v in row.values()] for row in report["per_k"]
         ]
 
     def test_compare(self, capsys, low_rank):

@@ -11,9 +11,11 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import mdlrank
-from mdlrank.cli import SCHEMA_VERSION, build_parser
-from mdlrank.complexity import GRAM_MODES, ScoreTable
+from mdlrank.cli import REPORT_COLUMNS, SCHEMA_VERSION, build_parser
+from mdlrank.complexity import GRAM_MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -53,9 +55,27 @@ def test_readme_schema_version_is_the_reports():
     assert re.findall(r"schema_version (\d+)", text) == [str(SCHEMA_VERSION)]
 
 
-def test_schema_pins_what_the_code_writes():
+def _schema():
     ref = importlib.resources.files("mdlrank") / "schemas" / "run_report.schema.json"
-    schema = json.loads(ref.read_text(encoding="utf-8"))
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def test_schema_pins_what_the_code_writes():
+    schema = _schema()
+    assert SCHEMA_VERSION == 3
     assert schema["properties"]["schema_version"]["const"] == SCHEMA_VERSION
+    assert schema["$id"].endswith(f"run_report-{SCHEMA_VERSION}.schema.json")
     assert schema["$defs"]["gram_mode"]["enum"] == list(GRAM_MODES)
-    assert schema["$defs"]["per_k"]["items"]["required"] == list(ScoreTable._fields)
+    assert schema["$defs"]["per_k"]["items"]["required"] == list(REPORT_COLUMNS)
+
+
+def test_schema_rejects_a_version_2_row():
+    """A per_k row that still carries a column version 2 wrote, such as
+    ratio_term, is not a version 3 row."""
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(_schema()["$defs"]["per_k"])
+    row = {"k": 1, "tail_term": -5.0, "gram_term": 7.0, "lower_total": 1.5,
+           "upper_total": 2.5, "floored": False}
+    validator.validate([row])
+    with pytest.raises(jsonschema.ValidationError):
+        validator.validate([{**row, "ratio_term": 0.5}])
