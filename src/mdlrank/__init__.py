@@ -6,7 +6,7 @@ as classical baselines.
 """
 
 from .baselines import kaiser, kneedle, scree
-from .complexity import default_epsilon, score_table, select_rank
+from .complexity import analyse, default_epsilon, score_table, select_rank
 from .datasets import (
     PriceTable,
     SyntheticSpec,
@@ -43,6 +43,7 @@ __all__ = [
     "PriceTable",
     "Spectrum",
     "SyntheticSpec",
+    "analyse",
     "default_epsilon",
     "frobenius_sq",
     "generate_lin",

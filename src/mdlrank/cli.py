@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .baselines import kaiser, kneedle, scree
-from .complexity import GRAM_MODES, ScoreTable, default_epsilon, select_ranks
+from .baselines import scree
+from .complexity import GRAM_MODES, ScoreTable, analyse, default_epsilon
 from .datasets import (
     SyntheticSpec,
     generate_lin,
@@ -31,7 +31,7 @@ from .datasets import (
     returns_transform,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
-from .linalg import Spectrum, correlation_values, factor_spectrum, prefix_factors
+from .linalg import factor_spectrum, prefix_factors
 from .quantization import validate_epsilon
 
 SCHEMA_VERSION = 3
@@ -122,83 +122,31 @@ def _load_input(args):
     return descriptor, matrix
 
 
-def _baselines(spectra, correlations, reasons, sensitivity):
-    """The baselines block of each spectrum of the stack *spectra*: the
-    Kaiser count of its correlation eigenvalues (a row of *correlations*)
-    and the knee of its normalized scree.
-
-    A baseline that cannot use the input (Kaiser on a constant column, the
-    knee on a scree too short to bend) is reported as null with the reason
-    under ``skipped``: a prefix's Kaiser reason is its entry of *reasons*,
-    None where it has eigenvalues. The run goes on, since the selection
-    does not depend on a baseline.
-    """
-    counts = kaiser(correlations)
-    try:
-        knees, knee_reason = kneedle(scree(spectra, normalized=True), sensitivity), None
-    except DegenerateInputError as exc:
-        knees, knee_reason = [None] * len(counts), str(exc)
-    blocks = []
-    for count, reason, knee in zip(counts, reasons, knees):
-        out = {"kaiser": None if reason else count, "kneedle": knee}
-        skipped = {name: why for name, why in (("kaiser", reason), ("kneedle", knee_reason)) if why}
-        if skipped:
-            out["skipped"] = skipped
-        blocks.append(out)
-    return blocks
-
-
-def _selection_blocks(spectra, matrix, epsilon, gram_mode):
-    return [
-        {
-            "gram_mode": gram_mode,
-            "per_k": report.per_k,
-            "k_lower_opt": report.k_lower_opt,
-            "k_upper_opt": report.k_upper_opt,
-            "k_bracket": list(report.k_bracket),
-        }
-        for report in select_ranks(spectra, matrix, epsilon, gram_mode)
-    ]
-
-
 def _run_reports(args, descriptor, matrix, epsilon, lengths):
     """The report of each prefix of *matrix* whose row count is in
-    *lengths*, in ascending order of length. The prefixes' R factors are
-    streamed (:func:`prefix_factors`), and of each only its singular values
-    and its correlation eigenvalues, or why it has none, are kept; then
-    every prefix is scored in one stacked pass per gram mode."""
-    m = matrix.shape[1]
-    ns, values, correlations, reasons = [], [], [], []
-    for factor in prefix_factors(matrix, lengths):
-        ns.append(factor.n)
-        values.append(factor_spectrum(factor).singular_values)
-        try:
-            correlations.append(correlation_values(factor))
-            reasons.append(None)
-        except DegenerateInputError as exc:
-            correlations.append(np.zeros(m))  # a placeholder: its count is not reported
-            reasons.append(str(exc))
-    spectra = Spectrum(n=np.array(ns), singular_values=np.array(values))
+    *lengths*, in ascending order of length: the flags' gram modes and
+    knee sensitivity go to :func:`~mdlrank.complexity.analyse`, and each
+    prefix's analysis comes back as a report dict."""
     modes = [args.gram_mode]
     if args.both_gram_modes:  # the other mode, reported under "alt"
         modes += [mode for mode in GRAM_MODES if mode != args.gram_mode]
-    selections = [_selection_blocks(spectra, matrix, epsilon, mode) for mode in modes]
-    baselines = _baselines(spectra, correlations, reasons, args.kneedle_sensitivity)
+    analyses = analyse(matrix, lengths, epsilon, modes, args.kneedle_sensitivity)
     stamp = {}
     if not args.reproducible:
         stamp["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         )
     reports = []
-    for n, baseline, block, *alt in zip(spectra.n.tolist(), baselines, *selections):
+    for spectrum, selections, baselines in analyses:
+        block, *alt = ({"gram_mode": mode, **report._asdict()} for mode, report in zip(modes, selections))
         out = {
             **HEADER,
             "input": descriptor,
-            "n": n,
-            "m": m,
+            "n": spectrum.n,
+            "m": matrix.shape[1],
             "epsilon": epsilon,
             "generator": descriptor.get("synthetic"),
-            "baselines": baseline,
+            "baselines": baselines,
             **block,
         }
         if alt:

@@ -19,19 +19,21 @@ whole table is a function of the singular spectrum (and, for the
 space from exactly rescaled values, so no data scale overflows or
 underflows them, as long as the largest singular value is within the
 float64 range (:func:`~mdlrank.linalg.factor_spectrum` refuses one beyond
-it). One kernel, :func:`score_stack`, scores a stack of spectra
-at once, such as those of every prefix ``compare`` analyses; a single
-spectrum (:func:`score_table`, :func:`select_rank`) is a stack of one.
+it). One kernel, :func:`score_stack`, scores a stack of spectra at once,
+such as those of every prefix :func:`analyse` takes of a matrix; a single
+spectrum (:func:`score_table`) is a stack of one, and :func:`select_rank`
+is the one-prefix, one-mode case of :func:`analyse`.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .baselines import kaiser, kneedle, scree
 from .errors import DegenerateInputError, DomainError
-from .linalg import BLOCK_FACTOR, Spectrum, as_matrix, binary_scaled, factor_spectrum, prefix_factors
+from .linalg import (BLOCK_FACTOR, Spectrum, as_matrix, binary_scaled, correlation_values,
+                     factor_spectrum, prefix_factors)
 from .quantization import validate_epsilon
 
 # substituted for the residual energy before taking ln, so exactly low-rank
@@ -72,8 +74,7 @@ class ScoreTable(NamedTuple):
     floored: np.ndarray
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     """Scores for every candidate k plus the two argmin selections.
 
     The slack ``delta_upper`` grows with k, so the argmins of the lower and
@@ -85,6 +86,15 @@ class ComplexityReport:
     k_lower_opt: int
     k_upper_opt: int
     k_bracket: tuple
+
+
+class Analysis(NamedTuple):
+    """One prefix's spectrum, its :class:`ComplexityReport` per gram mode
+    and its baselines dict, as :func:`analyse` gives them."""
+
+    spectrum: Spectrum
+    reports: tuple
+    baselines: dict
 
 
 def regression_nml(n_obs: int, n_params: int, tau_hat: float, fit_energy: float) -> float:
@@ -236,18 +246,55 @@ def select_ranks(spectra: Spectrum, x, epsilon: float, gram_mode: str) -> list:
     ]
 
 
+def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: float = 1.0) -> list:
+    """The :class:`Analysis` of each prefix of *a*, a checked matrix
+    (:func:`~mdlrank.linalg.as_matrix`), whose row count is in *lengths*,
+    in ascending order of length. Of each streamed R factor only the
+    singular values and the correlation eigenvalues, or why it has none,
+    are kept; all prefixes are scored in one pass per gram mode, and then
+    the baselines are taken: ``kaiser`` and the ``kneedle`` knee at
+    *sensitivity*. One that cannot use the input (Kaiser on a constant
+    column, a scree too short to bend) is None, its reason under
+    ``skipped``, since the selection does not depend on it.
+    """
+    spectra, correlations, reasons = [], [], []
+    for factor in prefix_factors(a, lengths):
+        spectra.append(factor_spectrum(factor))
+        try:
+            correlations.append(correlation_values(factor))
+            reasons.append(None)
+        except DegenerateInputError as exc:
+            correlations.append(np.zeros(a.shape[1]))  # a placeholder: its count is not reported
+            reasons.append(str(exc))
+    stack = Spectrum(*map(np.array, zip(*spectra)))  # the P row counts and the P x m values
+    # scored before the baselines, so an all-zero matrix is refused as such
+    selections = [select_ranks(stack, a, epsilon, mode) for mode in gram_modes]
+    counts = kaiser(correlations)
+    try:
+        knees, knee_reason = kneedle(scree(stack, normalized=True), sensitivity), None
+    except DegenerateInputError as exc:
+        knees, knee_reason = [None] * len(counts), str(exc)
+    analyses = []
+    for spectrum, count, reason, knee, *reports in zip(spectra, counts, reasons, knees, *selections):
+        baselines = {"kaiser": None if reason else count, "kneedle": knee}
+        skipped = {name: why for name, why in (("kaiser", reason), ("kneedle", knee_reason)) if why}
+        if skipped:
+            baselines["skipped"] = skipped
+        analyses.append(Analysis(spectrum, tuple(reports), baselines))
+    return analyses
+
+
 def select_rank(x, epsilon: float = None, gram_mode: str = "full_gram") -> ComplexityReport:
     """Score every k in 1..m-1 and select by argmin of both totals: the one
-    report of :func:`select_ranks` on *x* alone.
+    report of :func:`analyse` on all of *x* in one gram mode.
 
     Ties break toward the smallest k. ``epsilon=None`` uses the default
     1/(2m). The matrix must be taller than wide (or square), with finite
     entries and at least one nonzero entry.
     """
     a = as_matrix(x)
-    (factor,) = prefix_factors(a, [len(a)])
     if epsilon is None:
         epsilon = default_epsilon(a.shape[1])
-    stack = Spectrum(n=[factor.n], singular_values=[factor_spectrum(factor).singular_values])
-    (report,) = select_ranks(stack, a, epsilon, gram_mode)
+    (analysis,) = analyse(a, [len(a)], epsilon, (gram_mode,))
+    (report,) = analysis.reports
     return report

@@ -85,8 +85,8 @@ class Factor(NamedTuple):
 
 def prefix_factors(a, lengths):
     """Yield the :class:`Factor` of the prefix of *a*, a checked matrix
-    (:func:`as_matrix`), for each length of ``sorted(set(lengths))``; a
-    length outside [m, n] is a :class:`DomainError`.
+    (:func:`as_matrix`), for each length of ``sorted(set(lengths))``; no
+    length, or one outside [m, n], is a :class:`DomainError`.
 
     Rows enter one block of ``BLOCK_FACTOR * (m + 1)`` rows at a time, on a
     grid counted from the first row, and a prefix adds its rows past its
@@ -103,6 +103,8 @@ def prefix_factors(a, lengths):
     """
     ends = sorted(set(lengths))
     n, m = a.shape
+    if not ends:
+        raise DomainError("no prefix length given")
     for end in (ends[0], ends[-1]):
         if not 1 <= end <= n:
             raise DomainError(f"prefix length {end} is outside [1, {n}]")

@@ -9,6 +9,7 @@ from mdlrank import (
     DomainError,
     Spectrum,
     SyntheticSpec,
+    analyse,
     default_epsilon,
     generate_lin,
     score_table,
@@ -281,6 +282,64 @@ class TestArgminTieBreaking:
         monkeypatch.setattr(complexity, "score_stack", lambda *args: stack)
         rep = select_rank(np.random.default_rng(31).standard_normal((12, 6)))
         assert (rep.k_lower_opt, rep.k_upper_opt, rep.k_bracket) == (2, 3, (2, 3))
+
+
+def _assert_same_report(got, want):
+    """Both selections and every score column, bit for bit."""
+    assert (got.k_lower_opt, got.k_upper_opt, got.k_bracket) == (
+        want.k_lower_opt, want.k_upper_opt, want.k_bracket
+    )
+    for name, mine, theirs in zip(ScoreTable._fields, got.per_k, want.per_k):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+
+
+def _constant_head(rows, m, head):
+    """Gaussian rows whose column 3 is constant over the first *head*."""
+    x = np.random.default_rng(41).standard_normal((rows, m))
+    x[:head, 2] = 1.5
+    return x
+
+
+class TestAnalyse:
+    """analyse over many prefixes gives each the bits of analyse on that
+    prefix alone, and select_rank is its one-prefix, one-mode case."""
+
+    @pytest.mark.parametrize(
+        "x, lengths, skipped",
+        [
+            # Kaiser is skipped on the prefixes where column 3 is constant
+            (_constant_head(60, 5, 25), [40, 5, 25, 60, 26, 5, 40],
+             [{"kaiser"}, {"kaiser"}, set(), set(), set()]),
+            # two scree points have no knee
+            (np.random.default_rng(43).standard_normal((30, 2)), [30, 2, 10, 2], [{"kneedle"}] * 3),
+        ],
+    )
+    @pytest.mark.parametrize("gram_modes", [GRAM_MODES, GRAM_MODES[::-1]])
+    def test_each_prefix_as_if_alone(self, x, lengths, skipped, gram_modes):
+        epsilon = default_epsilon(x.shape[1])
+        analyses = analyse(x, lengths, epsilon, gram_modes, sensitivity=0.5)
+        assert [got.spectrum.n for got in analyses] == sorted(set(lengths))
+        assert [set(got.baselines.get("skipped", ())) for got in analyses] == skipped
+        for got in analyses:
+            n = got.spectrum.n
+            (want,) = analyse(x[:n].copy(), [n], epsilon, gram_modes, sensitivity=0.5)
+            assert n == want.spectrum.n
+            assert np.array_equal(got.spectrum.singular_values, want.spectrum.singular_values)
+            assert got.baselines == want.baselines
+            assert len(got.reports) == len(want.reports) == len(gram_modes)
+            for mine, theirs in zip(got.reports, want.reports):
+                _assert_same_report(mine, theirs)
+
+    def test_no_length_rejected(self):
+        with pytest.raises(DomainError, match="no prefix length"):
+            analyse(np.eye(3), [], 1 / 6)
+
+    @pytest.mark.parametrize("gram_mode", GRAM_MODES)
+    def test_select_rank_is_the_one_prefix_case(self, gram_mode):
+        x = generate_lin(SyntheticSpec(n=200, m=12, true_k=4, seed=3))
+        (analysis,) = analyse(x, [200], default_epsilon(12), (gram_mode,))
+        (report,) = analysis.reports
+        _assert_same_report(select_rank(x, gram_mode=gram_mode), report)
 
 
 class TestBoundGapRatio:

@@ -14,13 +14,11 @@ from mdlrank import (
     truncate,
 )
 from mdlrank import linalg
-from mdlrank.baselines import kaiser, kneedle, scree
-from mdlrank.complexity import default_epsilon, select_ranks
+from mdlrank.complexity import analyse, default_epsilon
 from mdlrank.linalg import (
     BLOCK_FACTOR,
     GRAM_TAU,
     UNIT_ROUNDOFF,
-    Spectrum,
     correlation_values,
     factor_spectrum,
     jacobi_svd,
@@ -199,16 +197,15 @@ class TestGramRoute:
         return factor
 
     @staticmethod
-    def _selection(x, factor):
-        """k_lower, k_upper, the bracket, Kaiser and kneedle of *x* from
-        *factor*, scored as a one-row stack."""
-        spectrum = factor_spectrum(factor)
-        stack = Spectrum(n=[factor.n], singular_values=[spectrum.singular_values])
-        (report,) = select_ranks(stack, x, default_epsilon(x.shape[1]), "full_gram")
-        return (
-            report.k_lower_opt, report.k_upper_opt, report.k_bracket,
-            kaiser(correlation_values(factor)), kneedle(scree(spectrum, normalized=True)),
-        )
+    def _selection(x, gram_factor):
+        """k_lower, k_upper, the bracket and the baselines (Kaiser and
+        kneedle) that analyse gives *x* with *gram_factor* in place of the
+        Gram route's: the real one, or one that always refuses, so that
+        every R is folded."""
+        with mock.patch.object(linalg, "_gram_factor", gram_factor):
+            (analysis,) = analyse(x, [len(x)], default_epsilon(x.shape[1]))
+        (report,) = analysis.reports
+        return report.k_lower_opt, report.k_upper_opt, report.k_bracket, analysis.baselines
 
     @PROPERTY
     @given(
@@ -236,8 +233,8 @@ class TestGramRoute:
         x = (random_orthonormal(rng, n, m) * s) @ random_orthonormal(rng, m).T
         x = np.ldexp(x * rng.uniform(0.1, 10.0, m), exponents[:m])
         x[:, mean_column] += mean * np.abs(x[:, mean_column]).max()
-        (factor, gram), fold = self._gated(x), self._folded(x)
-        assert self._selection(x, factor) == self._selection(x, fold)
+        (_, gram), fold = self._gated(x), self._folded(x)
+        assert self._selection(x, linalg._gram_factor) == self._selection(x, lambda g: None)
         r_eq = fold.r / np.linalg.norm(fold.r, axis=0)
         least = np.linalg.eigvalsh(r_eq.T @ r_eq)[0]
         delta = (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
@@ -264,7 +261,7 @@ class TestGramRoute:
         x = rng.standard_normal((80, 6))
         x[:, 2] = np.ldexp(rng.standard_normal(80), -600)
         x[17, 2] = 1.0
-        assert self._selection(x, self._gated(x)[0]) == self._selection(x, self._folded(x))
+        assert self._selection(x, linalg._gram_factor) == self._selection(x, lambda g: None)
 
 
 class TestJacobiSvd:
