@@ -10,6 +10,7 @@ import contextlib
 import csv
 import datetime
 import errno
+import itertools
 import json
 import math
 import os
@@ -285,8 +286,26 @@ def _write_outputs(outputs):
                 os.remove(move[0])
 
 
-# json.dumps(leaf, allow_nan=False) without a new encoder per leaf
-_leaf = json.JSONEncoder(allow_nan=False).encode
+# json.dumps(leaf, allow_nan=False) with one encoder, for the leaves _LEAVES does not write
+_json_leaf = json.JSONEncoder(allow_nan=False).encode
+# the JSON text of a leaf of each of these exact types; a float only if finite
+_LEAVES = {
+    str: json.encoder.encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: float.__repr__,
+    type(None): lambda value: "null",
+}
+
+
+def _leaf(value):
+    """json.dumps(value, allow_nan=False): a str, bool, int, finite float or
+    None written directly, any other leaf, such as a non-finite float or a
+    numpy scalar, through json itself."""
+    kind = type(value)
+    if kind in _LEAVES and (kind is not float or math.isfinite(value)):
+        return _LEAVES[kind](value)
+    return _json_leaf(value)
 
 
 def _tokens(column):
@@ -308,23 +327,24 @@ def _tokens(column):
 def _encode(value, pad=""):
     """The text of json.dumps(value, indent=2, allow_nan=False) for string
     keys, reading a ScoreTable as its list of row dicts over
-    REPORT_COLUMNS: a table is written through one row template from those
-    columns, with no dict per row, and every other leaf through json
-    itself. *pad* is the indent of the line *value* starts on."""
+    REPORT_COLUMNS: a table is one row template from those columns, repeated
+    once per row and filled by one % over the row-major cells, with no dict
+    per row, and every other leaf is written by :func:`_leaf`. *pad* is the
+    indent of the line *value* starts on."""
     inner = pad + "  "
     if isinstance(value, ScoreTable):
-        fields = ",\n".join(f"{inner}  {_leaf(name)}: {{}}" for name in REPORT_COLUMNS)
-        row = inner + "{{\n" + fields + "\n" + inner + "}}"  # braces doubled for format
-        columns = (getattr(value, name) for name in REPORT_COLUMNS)
-        items, brackets = map(row.format, *map(_tokens, columns)), "[]"
+        columns = [_tokens(getattr(value, name)) for name in REPORT_COLUMNS]
+        fields = ",\n".join(f"{inner}  {_leaf(name)}: %s" for name in REPORT_COLUMNS)
+        row = inner + "{\n" + fields + "\n" + inner + "}"
+        cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+        body, brackets = ",\n".join([row] * len(columns[0])) % cells, "[]"
     elif isinstance(value, dict):
-        items = (f"{inner}{_leaf(key)}: {_encode(item, inner)}" for key, item in value.items())
+        body = ",\n".join(f"{inner}{_leaf(key)}: {_encode(item, inner)}" for key, item in value.items())
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items, brackets = (inner + _encode(item, inner) for item in value), "[]"
+        body, brackets = ",\n".join(inner + _encode(item, inner) for item in value), "[]"
     else:
         return _leaf(value)
-    body = ",\n".join(items)
     return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}" if body else brackets
 
 
@@ -356,9 +376,9 @@ def cmd_select(args) -> list:
 
 def cmd_scree(args) -> list:
     _, matrix = _load_input(args)
-    (factor,) = prefix_factors(matrix, [len(matrix)])
-    variances = scree(factor_spectrum(factor), normalized=args.normalized)
-    rows = enumerate(variances.tolist(), start=1)
+    spectra = factor_spectrum(list(prefix_factors(matrix, [len(matrix)])))
+    (variances,) = scree(spectra, normalized=args.normalized).tolist()
+    rows = enumerate(variances, start=1)
     return [(_resolve(args.out), _csv(["component", "variance"], rows))]
 
 

@@ -9,7 +9,6 @@ every factor depends on its own rows alone; returned arrays are freshly
 allocated and safe to share across threads.
 """
 
-import math
 import numpy as np
 from typing import NamedTuple
 
@@ -207,38 +206,64 @@ def _singular_values(a):
         return jacobi_svd(a).singular_values
 
 
-def factor_spectrum(f: Factor) -> Spectrum:
-    """Singular values of the factored rows of X, which are those of
-    ``R[:m, :m]``. The column exponents are put back relative to the
-    largest before the SVD and that one after it, so no entry overflows.
-    Finite entries can still have a largest singular value beyond the
-    float64 range (about 1.8e308); that is a DomainError, decided from the
-    binary exponents before any value is formed."""
-    top = int(f.exponent.max())
-    values = _singular_values(np.ldexp(f.r[:-1, :-1], f.exponent - top))
-    if math.frexp(values[0])[1] + top > 1024:
+def _stacked_values(stack):
+    """Values-only SVD of each matrix of *stack*, in one LAPACK call; if it
+    fails to converge, matrix by matrix (:func:`_singular_values`)."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return np.array([_singular_values(a) for a in stack])
+
+
+def factor_spectrum(factors) -> Spectrum:
+    """Singular values of the factored rows of X of each :class:`Factor` of
+    *factors*, all of one width m: a stack, whose ``n`` lists their row
+    counts and whose P x m ``singular_values`` are those of each
+    ``R[:m, :m]``, taken in one stacked SVD. Each R's column exponents are
+    put back relative to its largest before the SVD and that one after it,
+    so no entry overflows. Finite entries can still have a largest singular
+    value beyond the float64 range (about 1.8e308); that is a DomainError,
+    decided from the binary exponents before any value is formed."""
+    tops = np.array([f.exponent.max() for f in factors])
+    values = _stacked_values(
+        np.stack([np.ldexp(f.r[:-1, :-1], f.exponent - top) for f, top in zip(factors, tops)])
+    )
+    if (np.frexp(values[:, 0])[1] + tops > 1024).any():
         raise DomainError(
             "the largest singular value is beyond the float64 range (about 1.8e308); "
             "rescale the data"
         )
-    return Spectrum(n=f.n, singular_values=np.ldexp(values, top))
+    return Spectrum(n=[f.n for f in factors], singular_values=np.ldexp(values, tops[:, None]))
 
 
-def correlation_values(f: Factor) -> np.ndarray:
-    """Eigenvalues, descending, of the column correlation matrix of the
-    factored rows. With ``[X | 1] = Q R`` and u the last column of R over
-    its norm, the centred columns are ``Q (I - u u^T) R[:, :m]``, so these
-    are the squared singular values of ``(I - u u^T) R[:, :m]`` once its
-    columns have unit norm. Raises DegenerateInputError naming the first
-    constant column."""
+def constant_column(f: Factor):
+    """Why the columns of the factored rows cannot be standardized: the
+    first of them that is constant, or None if none is."""
     flat = np.flatnonzero(f.constant)
-    if flat.size:
-        raise DegenerateInputError(
-            f"column {flat[0] + 1} is constant and cannot be standardized"
-        )
-    u = f.r[:, -1:] / np.linalg.norm(f.r[:, -1])
-    centred = f.r[:, :-1] - u @ (u.T @ f.r[:, :-1])
-    return _singular_values(centred / np.linalg.norm(centred, axis=0)) ** 2
+    return f"column {flat[0] + 1} is constant and cannot be standardized" if flat.size else None
+
+
+def correlation_values(factors) -> np.ndarray:
+    """Eigenvalues, descending, of the column correlation matrix of the
+    factored rows of each :class:`Factor` of *factors*, all of one width m:
+    one row of a P x m array each, from one stacked SVD. With
+    ``[X | 1] = Q R`` and u the last column of R over its norm, the centred
+    columns are ``Q (I - u u^T) R[:, :m]``, so these are the squared
+    singular values of ``(I - u u^T) R[:, :m]`` once its columns have unit
+    norm. Raises DegenerateInputError naming the first constant column of
+    the first factor that has one (:func:`constant_column`)."""
+    for f in factors:
+        if reason := constant_column(f):
+            raise DegenerateInputError(reason)
+    # every R column-major, whatever its route made it: numpy's products can
+    # round differently in another layout, and a prefix's values must not
+    # depend on its route's layout or on the other factors of the stack
+    size = len(factors[0].r)
+    r = np.stack([f.r.T for f in factors], out=np.empty((len(factors), size, size))).transpose(0, 2, 1)
+    ones, columns = r[:, :, -1:], r[:, :, :-1]
+    u = ones / np.sqrt(ones.transpose(0, 2, 1) @ ones)
+    centred = columns - u @ (u.transpose(0, 2, 1) @ columns)
+    return _stacked_values(centred / np.linalg.norm(centred, axis=1, keepdims=True)) ** 2
 
 
 def singular_spectrum(x) -> Spectrum:
@@ -250,8 +275,8 @@ def singular_spectrum(x) -> Spectrum:
     if the LAPACK driver fails to converge, as :func:`svd` does.
     """
     a = as_matrix(x)
-    (factor,) = prefix_factors(a, [a.shape[0]])
-    return factor_spectrum(factor)
+    stack = factor_spectrum(list(prefix_factors(a, [a.shape[0]])))
+    return Spectrum(n=stack.n[0], singular_values=stack.singular_values[0])
 
 
 def svd(x) -> SvdResult:

@@ -55,8 +55,8 @@ class TestKaiser:
 def correlation_eigenvalues(x):
     """Ascending correlation eigenvalues of all rows of *x*, read from the
     R factor of the streamed pass."""
-    (factor,) = prefix_factors(x, [len(x)])
-    return correlation_values(factor)[::-1]
+    (values,) = correlation_values(list(prefix_factors(x, [len(x)])))
+    return values[::-1]
 
 
 class TestCorrelationEigenvalues:

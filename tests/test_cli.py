@@ -297,6 +297,35 @@ class TestEncode:
         with pytest.raises(ValueError):
             cli._encode(payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"flag": True, "off": False, "none": None},
+            [2**63, -(2**63) - 1, 2**64, 10**40, -(10**40)],
+            {"value": np.float64(0.1), "values": [np.float64(-1e300), np.float64(5e-324)]},
+            {"subclass": np.float64(2.0) ** 0.5, "text": "é\u2028"},
+        ],
+    )
+    def test_leaves_written_directly_equal_json(self, payload):
+        assert cli._encode(payload) == json.dumps(payload, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "leaf, error",
+        [
+            (math.nan, ValueError),
+            (-math.inf, ValueError),
+            (np.float64(math.inf), ValueError),
+            (np.int64(3), TypeError),
+            (np.bool_(True), TypeError),
+        ],
+    )
+    def test_other_leaves_raise_as_json_does(self, leaf, error):
+        payload = {"report": [leaf]}
+        with pytest.raises(error):
+            json.dumps(payload, indent=2, allow_nan=False)
+        with pytest.raises(error):
+            cli._encode(payload)
+
 
 class TestReportBytes:
     """Reports of an exactly low-rank input, whose tails are floored, are
@@ -469,11 +498,13 @@ class TestTwoColumns:
 
 class TestOneDecompositionPerMatrix:
     """Selection, both gram modes and the baselines read one streamed R
-    factor of [X | 1] per analysed matrix: every SVD is values-only and of
-    at most m + 1 rows, one for the spectrum and one for Kaiser, and each
-    input row is factored at most twice, once in its grid block and once
-    in the partial block of a prefix, whether it enters a Gram product
-    (the Cholesky route these inputs take) or a QR."""
+    factor of [X | 1] per analysed matrix. Every SVD is values-only, of a
+    stack of at most one chunk of matrices (complexity.STACK_BYTES) with at
+    most m + 1 rows, so P prefixes take 2·⌈P/chunk⌉ of them, half for the
+    spectra and half for Kaiser. Each input row is factored at most twice,
+    once in its grid block and once in the partial block of a prefix,
+    whether it enters a Gram product (the Cholesky route these inputs
+    take) or a QR."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -481,7 +512,7 @@ class TestOneDecompositionPerMatrix:
         real_svd, real_qr, real_dot = np.linalg.svd, np.linalg.qr, np.dot
 
         def svd(a, *args, **kwargs):
-            calls["svd"].append((a.shape[0], kwargs.get("compute_uv", True)))
+            calls["svd"].append((a.shape, kwargs.get("compute_uv", True)))
             return real_svd(a, *args, **kwargs)
 
         def rows(a):
@@ -505,9 +536,14 @@ class TestOneDecompositionPerMatrix:
         return calls
 
     @staticmethod
-    def _check(calls, m, svds, rows):
+    def _chunk(m):
+        return max(1, complexity.STACK_BYTES // (8 * (m + 1) ** 2))
+
+    def _check(self, calls, m, prefixes, svds, rows):
         assert len(calls["svd"]) == svds
-        assert all(rows <= m + 1 and not uv for rows, uv in calls["svd"])
+        for shape, uv in calls["svd"]:
+            assert len(shape) == 3 and not uv
+            assert shape[0] <= min(prefixes, self._chunk(m)) and shape[1] <= m + 1
         seen = Counter(np.concatenate(calls["rows"]).tolist())
         assert len(seen) == rows
         assert max(seen.values()) <= 2
@@ -515,7 +551,7 @@ class TestOneDecompositionPerMatrix:
     def test_select_both_gram_modes(self, calls, capsys):
         status, _, _ = _run(LIN10 + ["--both-gram-modes"], capsys)
         assert status == 0
-        self._check(calls, m=30, svds=2, rows=500)
+        self._check(calls, m=30, prefixes=1, svds=2, rows=500)
 
     def test_compare_once_per_prefix(self, calls, capsys):
         status, _, _ = _run(
@@ -524,13 +560,29 @@ class TestOneDecompositionPerMatrix:
             capsys,
         )
         assert status == 0
-        self._check(calls, m=30, svds=6, rows=500)
+        self._check(calls, m=30, prefixes=3, svds=2, rows=500)
+
+    def test_compare_over_more_prefixes_than_one_chunk(self, calls, capsys):
+        m = 150
+        chunk, step = self._chunk(m), linalg.BLOCK_FACTOR * (m + 1)
+        # one prefix ending inside each grid block, so no row is in the
+        # partial block of two prefixes
+        lengths = [block * step + step // 2 for block in range(chunk + 1)]
+        status, _, err = _run(
+            ["compare", "--synthetic", "lin", "--n", str(lengths[-1]), "--m", str(m),
+             "--true-k", "5", "--seed", "7", "--lengths", ",".join(map(str, lengths)),
+             "--reproducible"],
+            capsys,
+        )
+        assert status == 0, err
+        svds = 2 * math.ceil(len(lengths) / chunk)  # two chunks
+        self._check(calls, m=m, prefixes=len(lengths), svds=svds, rows=lengths[-1])
 
     def test_scree(self, calls, tmp_path, capsys):
         p = _write_gaussian_csv(tmp_path / "g.csv", 1.0)
         status, _, _ = _run(["scree", "--input", str(p), "--raw"], capsys)
         assert status == 0
-        self._check(calls, m=8, svds=1, rows=200)
+        self._check(calls, m=8, prefixes=1, svds=1, rows=200)
 
 
 class TestScree:

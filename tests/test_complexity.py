@@ -300,6 +300,15 @@ def _constant_head(rows, m, head):
     return x
 
 
+# a width at which analyse stacks a few prefixes per SVD call, and prefix
+# lengths that fill two of those chunks and start a third
+WIDE = 100
+CHUNK = max(1, complexity.STACK_BYTES // (8 * (WIDE + 1) ** 2))
+WIDE_LENGTHS = list(range(WIDE, WIDE + 2 * CHUNK + 1))
+# column 3 is constant up to the second prefix of the second chunk
+WIDE_HEAD = WIDE_LENGTHS[CHUNK + 1]
+
+
 class TestAnalyse:
     """analyse over many prefixes gives each the bits of analyse on that
     prefix alone, and select_rank is its one-prefix, one-mode case."""
@@ -310,6 +319,9 @@ class TestAnalyse:
             # Kaiser is skipped on the prefixes where column 3 is constant
             (_constant_head(60, 5, 25), [40, 5, 25, 60, 26, 5, 40],
              [{"kaiser"}, {"kaiser"}, set(), set(), set()]),
+            # the same across the boundary of two stacked chunks
+            (_constant_head(WIDE_LENGTHS[-1], WIDE, WIDE_HEAD), WIDE_LENGTHS[::-1] + WIDE_LENGTHS[:3],
+             [{"kaiser"} if n <= WIDE_HEAD else set() for n in WIDE_LENGTHS]),
             # two scree points have no knee
             (np.random.default_rng(43).standard_normal((30, 2)), [30, 2, 10, 2], [{"kneedle"}] * 3),
         ],
@@ -329,6 +341,30 @@ class TestAnalyse:
             assert len(got.reports) == len(want.reports) == len(gram_modes)
             for mine, theirs in zip(got.reports, want.reports):
                 _assert_same_report(mine, theirs)
+
+    def test_failed_stack_falls_back_matrix_by_matrix(self, monkeypatch):
+        """When LAPACK fails on a stack, each of its matrices is taken
+        alone, with the bits of the stacked call."""
+        x = _constant_head(WIDE_LENGTHS[-1], WIDE, WIDE_HEAD)
+        want = analyse(x, WIDE_LENGTHS, default_epsilon(WIDE))
+        real, stacks = np.linalg.svd, []
+
+        def svd(a, *args, **kwargs):
+            if a.ndim == 3:
+                stacks.append(len(a))
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        got = analyse(x, WIDE_LENGTHS, default_epsilon(WIDE))
+        # per chunk its spectra, then the correlations of its usable prefixes:
+        # none in the first, all but the two with column 3 constant in the second
+        assert stacks == [CHUNK, CHUNK, CHUNK - 2, 1, 1]
+        for mine, theirs in zip(got, want, strict=True):
+            assert mine.spectrum.n == theirs.spectrum.n
+            assert np.array_equal(mine.spectrum.singular_values, theirs.spectrum.singular_values)
+            assert mine.baselines == theirs.baselines
+            _assert_same_report(*mine.reports, *theirs.reports)
 
     def test_no_length_rejected(self):
         with pytest.raises(DomainError, match="no prefix length"):

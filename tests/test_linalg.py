@@ -113,7 +113,7 @@ class TestSingularSpectrum:
 
         monkeypatch.setattr(np.linalg, "svd", failing)
         np.testing.assert_array_equal(singular_spectrum(x).singular_values, np.ldexp(spectrum, top))
-        np.testing.assert_array_equal(correlation_values(factor), correlation)
+        np.testing.assert_array_equal(correlation_values([factor]), [correlation])
 
 
 class TestPrefixFactors:
@@ -143,13 +143,15 @@ class TestPrefixFactors:
         x[:60] *= 2.0**-1000
         x[60:] *= 2.0**1000
         lengths = [5, 6, self.STEP - 1, self.STEP, self.STEP + 1, 2 * self.STEP + 1, 59, 100]
-        for factor in prefix_factors(x, lengths):
-            (own,) = prefix_factors(x[: factor.n], [factor.n])
-            spectrum, own_spectrum = factor_spectrum(factor), factor_spectrum(own)
-            assert spectrum.n == own_spectrum.n == factor.n
-            assert np.array_equal(spectrum.singular_values, own_spectrum.singular_values)
-            assert np.array_equal(correlation_values(factor), correlation_values(own))
-            assert np.array_equal(factor.constant, own.constant)
+        factors = list(prefix_factors(x, lengths))
+        spectra, correlations = factor_spectrum(factors), correlation_values(factors)
+        for p, factor in enumerate(factors):
+            own = list(prefix_factors(x[: factor.n], [factor.n]))
+            own_spectrum = factor_spectrum(own)
+            assert spectra.n[p] == own_spectrum.n[0] == factor.n
+            assert np.array_equal(spectra.singular_values[p], own_spectrum.singular_values[0])
+            assert np.array_equal(correlations[p], correlation_values(own)[0])
+            assert np.array_equal(factor.constant, own[0].constant)
 
     def test_constant_columns_per_prefix(self):
         x = np.random.default_rng(17).standard_normal((60, self.M))
