@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, singular_spectrum
 from .baselines import scree
 from .complexity import GRAM_MODES, ScoreTable, analyse, default_epsilon
 from .datasets import (
@@ -32,7 +32,6 @@ from .datasets import (
     returns_transform,
 )
 from .errors import ConvergenceError, DegenerateInputError, DomainError, ParseError
-from .linalg import factor_spectrum, prefix_factors
 from .quantization import validate_epsilon
 
 SCHEMA_VERSION = 3
@@ -309,19 +308,12 @@ def _leaf(value):
 
 
 def _tokens(column):
-    """The JSON text of each cell of one score column: ints and floats by
-    their repr, as json writes them, and booleans as true/false. A
-    non-finite float raises json's own ValueError."""
+    """The JSON text of each cell of one score column, by the _LEAVES entry
+    of its type. A non-finite float raises json's own ValueError."""
     values = column.tolist()
-    kind = column.dtype.kind
-    if kind == "b":
-        return ["true" if value else "false" for value in values]
-    if kind == "i":
-        return list(map(int.__repr__, values))
-    finite = np.isfinite(column)
-    if not finite.all():
-        _leaf(float(column[~finite][0]))
-    return list(map(float.__repr__, values))
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        _leaf(next(value for value in values if not math.isfinite(value)))
+    return list(map(_LEAVES[type(values[0])], values))
 
 
 def _encode(value, pad=""):
@@ -376,8 +368,7 @@ def cmd_select(args) -> list:
 
 def cmd_scree(args) -> list:
     _, matrix = _load_input(args)
-    spectra = factor_spectrum(list(prefix_factors(matrix, [len(matrix)])))
-    (variances,) = scree(spectra, normalized=args.normalized).tolist()
+    variances = scree(singular_spectrum(matrix), normalized=args.normalized).tolist()
     rows = enumerate(variances, start=1)
     return [(_resolve(args.out), _csv(["component", "variance"], rows))]
 

@@ -232,26 +232,6 @@ def _log_grams(spectra: Spectrum, gram_mode: str, x) -> np.ndarray:
     return np.array([np.mean(log_rows[:n]) for n in spectra.n])
 
 
-def select_ranks(spectra: Spectrum, x, epsilon: float, gram_mode: str) -> list:
-    """The :class:`ComplexityReport` of each spectrum of the stack *spectra*
-    (:func:`score_stack`), that of the first ``spectra.n[p]`` rows of *x*, a
-    checked matrix (:func:`~mdlrank.linalg.as_matrix`), from one call of
-    the kernel. Ties break toward the smallest k."""
-    if gram_mode not in GRAM_MODES:
-        raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {gram_mode!r}")
-    # only an all-zero matrix has an all-zero spectrum
-    if not np.any(spectra.singular_values, axis=1).all():
-        raise DegenerateInputError("all-zero matrix has no signal to rank")
-    table = score_stack(spectra, _log_grams(spectra, gram_mode, x), epsilon)
-    # np.argmin returns the first minimum, which is the smallest k
-    lowers = (np.argmin(table.lower_total, axis=1) + 1).tolist()
-    uppers = (np.argmin(table.upper_total, axis=1) + 1).tolist()
-    return [
-        ComplexityReport(ScoreTable(*row), lower, upper, (min(lower, upper), max(lower, upper)))
-        for row, lower, upper in zip(zip(*table), lowers, uppers)
-    ]
-
-
 def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: float = 1.0) -> list:
     """The :class:`Analysis` of each prefix of *a*, a checked matrix
     (:func:`~mdlrank.linalg.as_matrix`), whose row count is in *lengths*,
@@ -263,7 +243,12 @@ def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: 
     ``kneedle`` knee at *sensitivity*. One that cannot use the input
     (Kaiser on a constant column, a scree too short to bend) is None, its
     reason under ``skipped``, since the selection does not depend on it.
+    Every gram mode is checked before a row is factored, and ties break
+    toward the smallest k.
     """
+    for mode in gram_modes:
+        if mode not in GRAM_MODES:
+            raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {mode!r}")
     factors = prefix_factors(a, lengths)
     size = max(1, STACK_BYTES // (8 * (a.shape[1] + 1) ** 2))
     ns, values, counts, reasons = [], [], [], []
@@ -277,8 +262,20 @@ def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: 
         counts += [None if reason else next(kept) for reason in why]
         reasons += why
     stack = Spectrum(n=ns, singular_values=np.concatenate(values))
-    # scored before the baselines, so an all-zero matrix is refused as such
-    selections = [select_ranks(stack, a, epsilon, mode) for mode in gram_modes]
+    # only an all-zero matrix has an all-zero spectrum; refused as such
+    # before the baselines
+    if not np.any(stack.singular_values, axis=1).all():
+        raise DegenerateInputError("all-zero matrix has no signal to rank")
+    selections = []
+    for mode in gram_modes:
+        table = score_stack(stack, _log_grams(stack, mode, a), epsilon)
+        # np.argmin returns the first minimum, which is the smallest k
+        lowers = (np.argmin(table.lower_total, axis=1) + 1).tolist()
+        uppers = (np.argmin(table.upper_total, axis=1) + 1).tolist()
+        selections.append([
+            ComplexityReport(ScoreTable(*row), lower, upper, (min(lower, upper), max(lower, upper)))
+            for row, lower, upper in zip(zip(*table), lowers, uppers)
+        ])
     try:
         knees, knee_reason = kneedle(scree(stack, normalized=True), sensitivity), None
     except DegenerateInputError as exc:

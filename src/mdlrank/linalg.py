@@ -197,22 +197,16 @@ def _fold(r, exponent, rows, peak):
     return np.linalg.qr(stacked, mode="r"), new
 
 
-def _singular_values(a):
-    """Values-only SVD, falling back to one-sided Jacobi rotations if the
-    LAPACK driver fails to converge."""
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return jacobi_svd(a).singular_values
-
-
 def _stacked_values(stack):
-    """Values-only SVD of each matrix of *stack*, in one LAPACK call; if it
-    fails to converge, matrix by matrix (:func:`_singular_values`)."""
+    """Values-only SVD of a matrix, or of each matrix of a stack, in one
+    LAPACK call. If it fails to converge, a stack is taken matrix by matrix
+    and a matrix by one-sided Jacobi rotations."""
     try:
         return np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError:
-        return np.array([_singular_values(a) for a in stack])
+        if stack.ndim == 2:
+            return jacobi_svd(stack).singular_values
+        return np.array([_stacked_values(a) for a in stack])
 
 
 def factor_spectrum(factors) -> Spectrum:

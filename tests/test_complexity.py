@@ -37,6 +37,10 @@ class TestRegressionNml:
         got = regression_nml(n_obs=12, n_params=4, tau_hat=2.0, fit_energy=100.0)
         assert got == pytest.approx(WORKED_SCORE, abs=1e-12)
 
+    def test_no_parameters_rejected(self):
+        with pytest.raises(DomainError, match="n_params must be >= 1, got 0"):
+            regression_nml(n_obs=10, n_params=0, tau_hat=1.0, fit_energy=1.0)
+
     def test_params_must_be_fewer_than_observations(self):
         with pytest.raises(DomainError):
             regression_nml(n_obs=10, n_params=10, tau_hat=1.0, fit_energy=1.0)
@@ -52,7 +56,7 @@ def _spectrum(n, values):
     return Spectrum(n=n, singular_values=np.array(values, dtype=np.float64))
 
 
-class TestStochasticComplexityTerms:
+class TestScoreTable:
     """The per-k stochastic-complexity terms, as tabulated by score_table."""
 
     def test_worked_example(self):
@@ -233,6 +237,10 @@ class TestSelectRank:
         assert np.array_equal(slack, select_rank(x, epsilon=1 / 8).per_k.delta_upper)
         assert not np.array_equal(slack, select_rank(x, epsilon=1 / 16).per_k.delta_upper)
 
+    def test_default_epsilon_needs_a_column(self):
+        with pytest.raises(DomainError, match="m must be positive, got 0"):
+            default_epsilon(0)
+
     def test_per_k_covers_range_ascending(self):
         rng = np.random.default_rng(23)
         rep = select_rank(rng.standard_normal((15, 6)))
@@ -369,6 +377,18 @@ class TestAnalyse:
     def test_no_length_rejected(self):
         with pytest.raises(DomainError, match="no prefix length"):
             analyse(np.eye(3), [], 1 / 6)
+
+    def test_unknown_mode_refused_before_any_row_is_factored(self, monkeypatch):
+        calls, real = [], complexity.prefix_factors
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(complexity, "prefix_factors", spy)
+        with pytest.raises(DomainError, match="gram_mode must be one of"):
+            analyse(np.eye(3), [3], 1 / 6, ("bogus",))
+        assert calls == []
 
     @pytest.mark.parametrize("gram_mode", GRAM_MODES)
     def test_select_rank_is_the_one_prefix_case(self, gram_mode):

@@ -70,6 +70,16 @@ class TestReturnsTransform:
         with pytest.raises(DegenerateInputError):
             PriceTable(("a",), np.array([[100.0]]))
 
+    @pytest.mark.parametrize(
+        "names, prices, message",
+        [(("a",), np.ones(3), "prices must be 2-D, got ndim=1"),
+         (("a", "b", "c"), np.ones((3, 2)), "3 names for 2 columns"),
+         (("a",), np.ones((3, 2)), "1 names for 2 columns")],
+    )
+    def test_shape_checked_at_construction(self, names, prices, message):
+        with pytest.raises(DomainError, match=message):
+            PriceTable(names, prices)
+
 
 class TestGenerateLin:
     def test_zero_noise_is_exactly_low_rank(self):
@@ -113,6 +123,10 @@ class TestGenerateLin:
         ):
             with pytest.raises(DomainError):
                 SyntheticSpec(n=10, m=4, true_k=2, **bad)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+            SyntheticSpec(n=0, m=4, true_k=2)
 
     @staticmethod
     def _recipe(spec):

@@ -70,6 +70,27 @@ class TestSvd:
         with pytest.raises(DomainError, match="transpose"):
             svd(np.ones((2, 5)))
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [(np.ones(3), "expected a 2-D matrix, got ndim=1"),
+         (np.ones((0, 3)), r"matrix must be non-empty, got shape \(0, 3\)")],
+    )
+    def test_rejects_what_is_not_a_matrix(self, x, message):
+        with pytest.raises(DomainError, match=message):
+            linalg.as_matrix(x)
+
+    def test_falls_back_to_jacobi_when_lapack_fails(self, monkeypatch):
+        """U, the singular values and V are jacobi_svd's, bit for bit."""
+        x = np.random.default_rng(14).standard_normal((7, 4))
+        want = jacobi_svd(x)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        for got, expected in zip(svd(x), want, strict=True):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
 
 class TestSingularSpectrum:
     def test_matches_gram_eigenvalue_oracle(self):

@@ -32,6 +32,10 @@ class TestValidateEpsilon:
         with pytest.raises(DomainError):
             validate_epsilon(eps, m)
 
+    def test_rejects_a_width_below_one(self):
+        with pytest.raises(DomainError, match="m must be positive, got 0"):
+            validate_epsilon(1 / 10, 0)
+
 
 class TestQuantize:
     def test_nearest_multiple(self):
@@ -75,6 +79,10 @@ class TestQuantize:
     def test_rejects_invalid_step(self):
         with pytest.raises(DomainError):
             quantize(np.array([[0.5, 0.5], [0.5, -0.5]]), 0.5)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DomainError, match="expected a 2-D loadings matrix, got ndim=1"):
+            quantize(np.array([0.5, -0.5]), 0.1)
 
 
 class TestInnerProductBounds:
@@ -204,6 +212,14 @@ class TestMaximizedLikelihoodIntegral:
         model = _table_model({(0, 0, 0): -0.5})
         with pytest.raises(DomainError):
             maximized_likelihood_integral(model)
+
+    @pytest.mark.parametrize("a_family, b_family", [((), (0,)), ((0,), ())])
+    def test_empty_parameter_family_rejected(self, a_family, b_family):
+        with pytest.raises(DomainError, match="parameter families must be nonempty"):
+            DiscreteModel(
+                x_points=(0,), weights=(1.0,), a_family=a_family, b_family=b_family,
+                likelihood=lambda *_: 1.0,
+            )
 
     def test_mismatched_weights_rejected(self):
         with pytest.raises(DomainError):

@@ -3,9 +3,11 @@ the names README lists as the package root's exports are exactly
 ``mdlrank.__all__``, every flag its command-line section names is a CLI
 option, the version and schema version it states are the ones the code
 reports, and the schema pins the schema version, gram modes and per-k
-columns the code writes."""
+columns the code writes. The CLI imports nothing from ``linalg``, as the
+module list in README says."""
 
 import argparse
+import ast
 import importlib.resources
 import json
 import re
@@ -41,6 +43,19 @@ def test_readme_cli_flags_are_parser_options():
         for option in action.option_strings
     }
     assert flags and flags <= options, sorted(flags - options)
+
+
+def test_cli_imports_nothing_from_linalg():
+    """The CLI reads spectra only through the package's analysis entry
+    points, never from the decomposition module itself."""
+    tree = ast.parse((ROOT / "src" / "mdlrank" / "cli.py").read_text(encoding="utf-8"))
+    sources = {
+        ("." * node.level) + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+    sources |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not sources & {".linalg", "mdlrank.linalg"}, sorted(sources)
 
 
 def test_pyproject_version_is_the_package_version():
