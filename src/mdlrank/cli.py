@@ -10,6 +10,7 @@ import contextlib
 import csv
 import datetime
 import errno
+import functools
 import itertools
 import json
 import math
@@ -290,7 +291,7 @@ _json_leaf = json.JSONEncoder(allow_nan=False).encode
 # the JSON text of a leaf of each of these exact types; a float only if finite
 _LEAVES = {
     str: json.encoder.encode_basestring_ascii,
-    bool: lambda value: "true" if value else "false",
+    bool: ("false", "true").__getitem__,
     int: int.__repr__,
     float: float.__repr__,
     type(None): lambda value: "null",
@@ -316,22 +317,35 @@ def _tokens(column):
     return list(map(_LEAVES[type(values[0])], values))
 
 
+@functools.lru_cache
+def _table_template(pad, ranks):
+    """The text of a score table of *ranks* rows, as json.dumps(indent=2)
+    writes its list of row dicts over REPORT_COLUMNS on a line indented by
+    *pad*: each row's k, which is its 1-based position, written in, and a
+    %s slot for each of its other cells."""
+    inner = pad + "  "
+    fields = "".join(f",\n{inner}  {_leaf(name)}: %s" for name in REPORT_COLUMNS[1:])
+    k_key = _leaf(REPORT_COLUMNS[0])
+    rows = ",\n".join(f"{inner}{{\n{inner}  {k_key}: {k}{fields}\n{inner}}}" for k in range(1, ranks + 1))
+    return f"[\n{rows}\n{pad}]" if rows else "[]"
+
+
 def _encode(value, pad=""):
     """The text of json.dumps(value, indent=2, allow_nan=False) for string
-    keys, reading a ScoreTable as its list of row dicts over
-    REPORT_COLUMNS: a table is one row template from those columns, repeated
-    once per row and filled by one % over the row-major cells, with no dict
-    per row, and every other leaf is written by :func:`_leaf`. *pad* is the
-    indent of the line *value* starts on."""
+    keys, reading a ScoreTable, whose k is 1..m-1, as its list of row dicts
+    over REPORT_COLUMNS: a table is its template (:func:`_table_template`)
+    filled by one % over the row-major cells, with no dict per row, and
+    every other leaf is written by :func:`_leaf`. *pad* is the indent of
+    the line *value* starts on."""
     inner = pad + "  "
     if isinstance(value, ScoreTable):
-        columns = [_tokens(getattr(value, name)) for name in REPORT_COLUMNS]
-        fields = ",\n".join(f"{inner}  {_leaf(name)}: %s" for name in REPORT_COLUMNS)
-        row = inner + "{\n" + fields + "\n" + inner + "}"
-        cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-        body, brackets = ",\n".join([row] * len(columns[0])) % cells, "[]"
-    elif isinstance(value, dict):
-        body = ",\n".join(f"{inner}{_leaf(key)}: {_encode(item, inner)}" for key, item in value.items())
+        columns = [_tokens(getattr(value, name)) for name in REPORT_COLUMNS[1:]]
+        return _table_template(pad, len(value.k)) % tuple(itertools.chain.from_iterable(zip(*columns)))
+    if isinstance(value, dict):
+        body = ",\n".join(
+            f"{inner}{_leaf(key)}: {_leaf(item) if type(item) in _LEAVES else _encode(item, inner)}"
+            for key, item in value.items()
+        )
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         body, brackets = ",\n".join(inner + _encode(item, inner) for item in value), "[]"
@@ -341,7 +355,23 @@ def _encode(value, pad=""):
 
 
 def _json(payload):
-    return lambda stream: stream.write(_encode(payload) + "\n")
+    """A writer of json.dumps(payload, indent=2) + "\n" that never holds
+    the whole text: a list payload, such as compare's reports, is written
+    one element at a time."""
+
+    def write(stream):
+        if isinstance(payload, list) and payload:
+            separator = "[\n  "
+            for item in payload:
+                stream.write(separator)
+                stream.write(_encode(item, "  "))
+                separator = ",\n  "
+            stream.write("\n]")
+        else:
+            stream.write(_encode(payload))
+        stream.write("\n")
+
+    return write
 
 
 def _csv(header, rows):

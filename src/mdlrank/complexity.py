@@ -25,7 +25,6 @@ spectrum (:func:`score_table`) is a stack of one, and :func:`select_rank`
 is the one-prefix, one-mode case of :func:`analyse`.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -33,8 +32,8 @@ import numpy as np
 
 from .baselines import kaiser, kneedle, scree
 from .errors import DegenerateInputError, DomainError
-from .linalg import (BLOCK_FACTOR, Spectrum, as_matrix, binary_scaled, constant_column,
-                     correlation_values, factor_spectrum, prefix_factors)
+from .linalg import (BLOCK_FACTOR, STACK_BYTES, Spectrum, as_matrix, binary_scaled,
+                     constant_column, correlation_values, factor_spectrum, prefix_factors)
 from .quantization import validate_epsilon
 
 # substituted for the residual energy before taking ln, so exactly low-rank
@@ -44,11 +43,6 @@ LOG_TAIL_FLOOR = math.log(TAIL_FLOOR)
 LN2 = math.log(2.0)
 
 GRAM_MODES = ("full_gram", "per_row_sum")
-# bytes of the (m + 1) x (m + 1) float64 R factors that analyse stacks into
-# one SVD call: 38 prefixes at m = 40, one at m = 300. Twice as many saved
-# 1% of the time of a 300-prefix compare and added 1.1 MB, 3%, to its peak
-# resident memory
-STACK_BYTES = 2**19
 
 
 def default_epsilon(m: int) -> float:
@@ -249,14 +243,13 @@ def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: 
     for mode in gram_modes:
         if mode not in GRAM_MODES:
             raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {mode!r}")
-    factors = prefix_factors(a, lengths)
-    size = max(1, STACK_BYTES // (8 * (a.shape[1] + 1) ** 2))
     ns, values, counts, reasons = [], [], [], []
-    while chunk := list(itertools.islice(factors, size)):
+    for chunk in prefix_factors(a, lengths):
         spectra = factor_spectrum(chunk)
         ns += spectra.n
         values.append(spectra.singular_values)
-        why = [constant_column(f) for f in chunk]
+        constant = np.stack([f.constant for f in chunk]).any(axis=1).tolist()
+        why = [constant_column(f) if c else None for f, c in zip(chunk, constant)]
         usable = [f for f, reason in zip(chunk, why) if not reason]
         kept = iter(kaiser(correlation_values(usable)) if usable else ())
         counts += [None if reason else next(kept) for reason in why]

@@ -21,6 +21,11 @@ BLOCK_FACTOR = 4
 # into a squared singular value (see _gram_factor)
 GRAM_TAU = 1e-5
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# bytes of the (m + 1) x (m + 1) float64 Grams and R factors taken into one
+# stacked LAPACK call: 38 prefixes at m = 40, one at m = 300. Twice as many
+# saved 1% of the time of a 300-prefix compare and added 1.1 MB, 3%, to its
+# peak resident memory
+STACK_BYTES = 2**19
 
 
 def as_matrix(x) -> np.ndarray:
@@ -84,8 +89,10 @@ class Factor(NamedTuple):
 
 def prefix_factors(a, lengths):
     """Yield the :class:`Factor` of the prefix of *a*, a checked matrix
-    (:func:`as_matrix`), for each length of ``sorted(set(lengths))``; no
-    length, or one outside [m, n], is a :class:`DomainError`.
+    (:func:`as_matrix`), for each length of ``sorted(set(lengths))``, in
+    lists of at most ``STACK_BYTES`` of R factors; no length, or one outside
+    [1, n], is a :class:`DomainError`, and so is a shortest prefix with
+    fewer rows than columns.
 
     Rows enter one block of ``BLOCK_FACTOR * (m + 1)`` rows at a time, on a
     grid counted from the first row, and a prefix adds its rows past its
@@ -93,12 +100,12 @@ def prefix_factors(a, lengths):
     the exact powers of two of :func:`binary_scaled` over the rows taken so
     far. The blocks are summed into the Gram of the scaled ``[X | 1]``,
     and a prefix's R is the Cholesky factor of its Gram when
-    :func:`_gram_factor`'s conditioning gate holds. Otherwise it is folded
-    from the same blocks by Householder QR, a stream advanced only for the
-    prefixes that need it. Either way a prefix's R is a function of its own
-    rows, and P prefixes of n rows cost O(n m^2 + P m^3): half the flops of
-    the folds on the Gram route, which a well-conditioned input never
-    leaves.
+    :func:`_gram_factor`'s conditioning gate holds, taken for the Grams of
+    a whole list at once. Otherwise it is folded from the same blocks by
+    Householder QR, a stream advanced only for the prefixes that need it.
+    Either way a prefix's R is a function of its own rows, and P prefixes
+    of n rows cost O(n m^2 + P m^3): half the flops of the folds on the
+    Gram route, which a well-conditioned input never leaves.
     """
     ends = sorted(set(lengths))
     n, m = a.shape
@@ -107,32 +114,44 @@ def prefix_factors(a, lengths):
     for end in (ends[0], ends[-1]):
         if not 1 <= end <= n:
             raise DomainError(f"prefix length {end} is outside [1, {n}]")
-    _require_tall(a[: ends[0]], "prefix_factors")
+    if ends[0] < m:
+        raise DomainError(f"need at least as many rows as columns, got {ends[0]} x {m}")
     step = BLOCK_FACTOR * (m + 1)
     blocks = [a[start : start + step] for start in range(0, ends[-1] - step + 1, step)]
-    # per column, the least and the greatest entry up to each block's end
-    lows = np.minimum.accumulate(np.reshape([b.min(axis=0) for b in blocks], (-1, m)))
-    highs = np.maximum.accumulate(np.reshape([b.max(axis=0) for b in blocks], (-1, m)))
+    # per column, the least and the greatest entry up to each block's end,
+    # after a first row for no block at all
+    lows = np.minimum.accumulate([np.full(m, np.inf)] + [b.min(axis=0) for b in blocks])
+    highs = np.maximum.accumulate([np.full(m, -np.inf)] + [b.max(axis=0) for b in blocks])
     peaks = np.maximum(highs, -lows)
     gram, exponent, summed = np.zeros((m + 1, m + 1)), np.zeros(m, dtype=int), 0
     fold, fold_exponent, folded = np.zeros((0, m + 1)), exponent, 0
-    for end in ends:
-        whole = end // step
-        for b in range(summed, whole):
-            gram, exponent = _gram(gram, exponent, blocks[b], peaks[b])
-        summed = whole
-        part = a[whole * step : end]
-        low = np.vstack([lows[whole - 1 : whole], part]).min(axis=0)
-        high = np.vstack([highs[whole - 1 : whole], part]).max(axis=0)
-        peak = np.maximum(high, -low)
-        own, own_exponent = _gram(gram, exponent, part, peak) if len(part) else (gram, exponent)
-        r = _gram_factor(own)
-        if r is None:
-            for b in range(folded, whole):
-                fold, fold_exponent = _fold(fold, fold_exponent, blocks[b], peaks[b])
-            folded = whole
-            r = _fold(fold, fold_exponent, part, peak)[0] if len(part) else fold
-        yield Factor(end, r, own_exponent, low == high)
+    size = max(1, STACK_BYTES // (8 * (m + 1) ** 2))
+    for first in range(0, len(ends), size):
+        chunk = ends[first : first + size]
+        grams, prefixes = np.empty((len(chunk), m + 1, m + 1)), []
+        for i, end in enumerate(chunk):
+            whole = end // step
+            for b in range(summed, whole):
+                gram, exponent = _gram(gram, exponent, blocks[b], peaks[b + 1])
+            summed = whole
+            part = a[whole * step : end]
+            low = np.minimum(lows[whole], part.min(axis=0, initial=np.inf))
+            high = np.maximum(highs[whole], part.max(axis=0, initial=-np.inf))
+            peak = np.maximum(high, -low)
+            own, own_exponent = _gram(gram, exponent, part, peak) if len(part) else (gram, exponent)
+            grams[i] = own
+            prefixes.append((end, whole, part, peak, own_exponent, low == high))
+        gated = _gram_factor(grams)
+        del grams  # not held while the chunk is taken up
+        factors = []
+        for (end, whole, part, peak, own_exponent, constant), r in zip(prefixes, gated):
+            if r is None:
+                for b in range(folded, whole):
+                    fold, fold_exponent = _fold(fold, fold_exponent, blocks[b], peaks[b + 1])
+                folded = whole
+                r = _fold(fold, fold_exponent, part, peak)[0] if len(part) else fold
+            factors.append(Factor(end, r, own_exponent, constant))
+        yield factors
 
 
 def _gram(g, exponent, rows, peak):
@@ -150,35 +169,51 @@ def _gram(g, exponent, rows, peak):
     return g + np.dot(stacked.T, stacked), new
 
 
-def _gram_factor(g):
-    """The upper Cholesky factor R of the Gram *g* of the scaled ``[X | 1]``
-    (m + 1 columns), or None unless the conditioning gate holds.
+def _gram_factor(grams):
+    """The upper Cholesky factor R of each Gram of the stack *grams*, those
+    of the scaled ``[X | 1]`` (m + 1 columns), or None for one that fails
+    the conditioning gate.
 
     The Cholesky factor carries a relative error of about ``m·u·κ(R_eq)²``
     into every squared singular value, u the unit roundoff and R_eq the R
     with unit columns (Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13(4),
     1992), where Householder QR carries about ``m·u``. The gate holds when
     the Cholesky succeeds, R is finite and ``m·u·κ(R_eq)² <= GRAM_TAU``.
-    The last is shown by a Cholesky of *g* with its diagonal scaled by
+    The last is shown by a Cholesky of the Gram with its diagonal scaled by
     ``1 - δ``, ``δ = (m + 1)·m·u / GRAM_TAU``. That matrix is ``D (H - δI)
     D``, with H the unit-diagonal ``R_eqᵀ R_eq`` and D the column norms,
     so its Cholesky succeeds only if H's least eigenvalue exceeds δ; and
     H's greatest is at most its trace, m + 1. ``GRAM_TAU = 1e-5`` admits
     the benchmark's inputs, on which ``(m + 1)·m·u / λ_min(H)`` reaches
-    1.4e-7, with over 70 times headroom. Everything is read from *g*,
+    1.4e-7, with over 70 times headroom. Everything is read from the Gram,
     never from the column exponents, so scaling a column by a power of two
     leaves the route and every bit of R as they are. A constant, all-zero
     or exactly collinear column, or a column near the span of the ones
-    (whose centring for Kaiser cancels), fails the gate."""
-    m = len(g) - 1
-    shifted = g.copy()
-    shifted[np.diag_indices(m + 1)] *= 1 - (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
-    try:
-        np.linalg.cholesky(shifted)
-        r = np.linalg.cholesky(g).T
-    except np.linalg.LinAlgError:
-        return None
-    return r if np.isfinite(r).all() else None
+    (whose centring for Kaiser cancels), fails the gate.
+
+    Both Choleskys take the whole stack in one LAPACK call each, which
+    factors every Gram as a call of its own would. If either fails on
+    some Gram, each Gram is gated again alone."""
+    m = grams.shape[-1] - 1
+    shifted = grams.copy()
+    shifted[:, range(m + 1), range(m + 1)] *= 1 - (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
+
+    def gate(part):
+        # each R of the Grams grams[part], or None where it is not finite;
+        # None if either Cholesky fails on any of them
+        try:
+            np.linalg.cholesky(shifted[part])
+            lower = np.linalg.cholesky(grams[part])
+        except np.linalg.LinAlgError:
+            return None
+        return [tri.T if np.isfinite(tri).all() else None for tri in lower]
+
+    factors = gate(slice(None))
+    if factors is None:  # some Gram fails: gate each alone
+        factors = []
+        for p in range(len(grams)):
+            factors += gate(slice(p, p + 1)) or [None]
+    return factors
 
 
 def _fold(r, exponent, rows, peak):
@@ -218,10 +253,10 @@ def factor_spectrum(factors) -> Spectrum:
     so no entry overflows. Finite entries can still have a largest singular
     value beyond the float64 range (about 1.8e308); that is a DomainError,
     decided from the binary exponents before any value is formed."""
-    tops = np.array([f.exponent.max() for f in factors])
-    values = _stacked_values(
-        np.stack([np.ldexp(f.r[:-1, :-1], f.exponent - top) for f, top in zip(factors, tops)])
-    )
+    exponents = np.stack([f.exponent for f in factors])
+    tops = exponents.max(axis=1)
+    r = np.stack([f.r[:-1, :-1] for f in factors])
+    values = _stacked_values(np.ldexp(r, (exponents - tops[:, None])[:, None, :], out=r))
     if (np.frexp(values[:, 0])[1] + tops > 1024).any():
         raise DomainError(
             "the largest singular value is beyond the float64 range (about 1.8e308); "
@@ -246,9 +281,9 @@ def correlation_values(factors) -> np.ndarray:
     singular values of ``(I - u u^T) R[:, :m]`` once its columns have unit
     norm. Raises DegenerateInputError naming the first constant column of
     the first factor that has one (:func:`constant_column`)."""
-    for f in factors:
-        if reason := constant_column(f):
-            raise DegenerateInputError(reason)
+    constant = np.stack([f.constant for f in factors]).any(axis=1)
+    if constant.any():
+        raise DegenerateInputError(constant_column(factors[constant.argmax()]))
     # every R column-major, whatever its route made it: numpy's products can
     # round differently in another layout, and a prefix's values must not
     # depend on its route's layout or on the other factors of the stack
@@ -256,8 +291,13 @@ def correlation_values(factors) -> np.ndarray:
     r = np.stack([f.r.T for f in factors], out=np.empty((len(factors), size, size))).transpose(0, 2, 1)
     ones, columns = r[:, :, -1:], r[:, :, :-1]
     u = ones / np.sqrt(ones.transpose(0, 2, 1) @ ones)
-    centred = columns - u @ (u.transpose(0, 2, 1) @ columns)
-    return _stacked_values(centred / np.linalg.norm(centred, axis=1, keepdims=True)) ** 2
+    # centred and scaled in place in the projection's buffer: no two more
+    # stack-sized temporaries, and the row-major layout ``columns -
+    # projection`` would have, so the norms sum in the same order
+    centred = u @ (u.transpose(0, 2, 1) @ columns)
+    np.subtract(columns, centred, out=centred)
+    centred /= np.linalg.norm(centred, axis=1, keepdims=True)
+    return _stacked_values(centred) ** 2
 
 
 def singular_spectrum(x) -> Spectrum:
@@ -269,7 +309,8 @@ def singular_spectrum(x) -> Spectrum:
     if the LAPACK driver fails to converge, as :func:`svd` does.
     """
     a = as_matrix(x)
-    stack = factor_spectrum(list(prefix_factors(a, [a.shape[0]])))
+    (factors,) = prefix_factors(a, [a.shape[0]])
+    stack = factor_spectrum(factors)
     return Spectrum(n=stack.n[0], singular_values=stack.singular_values[0])
 
 

@@ -55,7 +55,8 @@ class TestKaiser:
 def correlation_eigenvalues(x):
     """Ascending correlation eigenvalues of all rows of *x*, read from the
     R factor of the streamed pass."""
-    (values,) = correlation_values(list(prefix_factors(x, [len(x)])))
+    (factors,) = prefix_factors(x, [len(x)])
+    (values,) = correlation_values(factors)
     return values[::-1]
 
 

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from collections import Counter
@@ -773,6 +774,69 @@ class TestCompare:
         assert "4-column" in err
 
 
+class TestStreamedReport:
+    """compare writes its list of reports one element at a time, so that
+    the whole text is never held at once, with the bytes of json.dumps."""
+
+    ARGV = ["compare", "--input", str(bundled_fixture_path()), "--reproducible",
+            "--both-gram-modes", "--lengths", "100,60,259,100"]
+
+    def test_one_element_per_write(self, monkeypatch):
+        class Recording(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        stream = Recording()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(self.ARGV) == 0
+        text = stream.getvalue()
+        elements = json.loads(text)
+        assert len(elements) == 4
+        assert text == json.dumps(elements, indent=2) + "\n"
+        # an element's text as the report holds it, every line indented
+        longest = max(len(textwrap.indent(json.dumps(e, indent=2), "  ")) for e in elements)
+        assert max(map(len, stream.writes)) <= longest < len(text) / 3
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        """A write that fails partway through the staged --out file, after
+        the first element, is exit 2 naming the file, and neither it nor
+        the staged file is left behind."""
+        real_open = cli._open
+
+        class Failing:
+            def __init__(self, stream):
+                self.stream, self.writes = stream, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.stream.write(text)
+
+            def flush(self):
+                self.stream.flush()
+
+            def close(self):
+                self.stream.close()
+
+        def failing_open(path, fd, mode):
+            stream, move = real_open(path, fd, mode)
+            assert move is not None  # a staged file
+            return Failing(stream), move
+
+        monkeypatch.setattr(cli, "_open", failing_open)
+        out = tmp_path / "r.json"
+        status, stdout, err = _run(self.ARGV + ["--out", str(out)], capsys)
+        assert status == 2 and stdout == ""
+        assert err == f"mdlrank: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCompareEqualsSelect:
     """Each compare element is the select report of its prefix, byte for
     byte, and its k and Kaiser count agree with independent oracles."""
@@ -845,10 +909,10 @@ class TestCompareEqualsSelect:
         y[:30, 1] = y[:30, 0] + 1e-9 * rng.standard_normal(30)
         routes, real = [], linalg._gram_factor
 
-        def recording(g):
-            r = real(g)
-            routes.append("gram" if r is not None else "fold")
-            return r
+        def recording(grams):
+            factors = real(grams)
+            routes.extend("gram" if r is not None else "fold" for r in factors)
+            return factors
 
         monkeypatch.setattr(linalg, "_gram_factor", recording)
         lines = [",".join(repr(float(v)) for v in row) + "\n" for row in y]
@@ -1498,6 +1562,24 @@ class TestErrorTaxonomy:
         p.write_text("1,2,3,4\n5,6,7,8\n")
         status, _, err = _run(["select", "--input", str(p), "--raw", "--no-header"], capsys)
         assert status == 4 and "numerical" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--input", "{wide}", "--raw", "--no-header"],
+            ["scree", "--input", "{wide}", "--raw", "--no-header"],
+            ["select", "--synthetic", "lin", "--n", "4", "--m", "5", "--true-k", "2"],
+        ],
+        ids=["select-raw", "scree-raw", "select-synthetic"],
+    )
+    def test_wide_matrix_names_its_shape(self, tmp_path, capsys, argv):
+        """The message says what the input lacks, not which function
+        refused it or what a library caller could do instead."""
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,2,3,4,5\n5,6,7,8,9\n1,1,2,3,4\n0,2,2,2,1\n")
+        status, out, err = _run([arg.format(wide=wide) for arg in argv], capsys)
+        assert (status, out) == (4, "")
+        assert err == "mdlrank: numerical error: need at least as many rows as columns, got 4 x 5\n"
 
     def test_all_zero_matrix_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "zero.csv"

@@ -105,7 +105,7 @@ class TestSingularSpectrum:
     def test_validates_like_svd(self):
         with pytest.raises(DomainError):
             singular_spectrum(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(DomainError, match="transpose"):
+        with pytest.raises(DomainError, match=r"^need at least as many rows as columns, got 2 x 5$"):
             singular_spectrum(np.ones((2, 5)))
 
     def test_largest_value_must_be_within_float64(self):
@@ -122,7 +122,7 @@ class TestSingularSpectrum:
         """Both small SVDs of the R factor fall back to one-sided Jacobi."""
         x = np.random.default_rng(13).standard_normal((8, 3))
         x[:, 1] *= 2.0**40
-        (factor,) = prefix_factors(x, [8])
+        ((factor,),) = prefix_factors(x, [8])
         top = factor.exponent.max()
         spectrum = jacobi_svd(np.ldexp(factor.r[:-1, :-1], factor.exponent - top)).singular_values
         u = factor.r[:, -1:] / np.linalg.norm(factor.r[:, -1])
@@ -143,7 +143,8 @@ class TestPrefixFactors:
 
     def test_is_the_r_factor_of_the_scaled_rows(self):
         x = np.random.default_rng(14).standard_normal((70, self.M)) * [1.0, 1e-9, 1e9, 3.0, 0.5]
-        for factor in prefix_factors(x, [70, 5, 24, 25, 6]):
+        (factors,) = prefix_factors(x, [70, 5, 24, 25, 6])
+        for factor in factors:
             assert factor.r.shape == (self.M + 1, self.M + 1)
             assert np.array_equal(factor.r, np.triu(factor.r))
             ones = np.column_stack([np.ldexp(x[: factor.n], -factor.exponent), np.ones(factor.n)])
@@ -153,7 +154,8 @@ class TestPrefixFactors:
 
     def test_yields_sorted_distinct_lengths(self):
         x = np.random.default_rng(15).standard_normal((60, self.M))
-        assert [f.n for f in prefix_factors(x, [60, 7, 24, 7, 5])] == [5, 7, 24, 60]
+        (factors,) = prefix_factors(x, [60, 7, 24, 7, 5])
+        assert [f.n for f in factors] == [5, 7, 24, 60]
 
     def test_each_prefix_equals_its_own_pass(self):
         """A prefix's spectra come out bit for bit as when its rows are
@@ -164,10 +166,10 @@ class TestPrefixFactors:
         x[:60] *= 2.0**-1000
         x[60:] *= 2.0**1000
         lengths = [5, 6, self.STEP - 1, self.STEP, self.STEP + 1, 2 * self.STEP + 1, 59, 100]
-        factors = list(prefix_factors(x, lengths))
+        (factors,) = prefix_factors(x, lengths)
         spectra, correlations = factor_spectrum(factors), correlation_values(factors)
         for p, factor in enumerate(factors):
-            own = list(prefix_factors(x[: factor.n], [factor.n]))
+            (own,) = prefix_factors(x[: factor.n], [factor.n])
             own_spectrum = factor_spectrum(own)
             assert spectra.n[p] == own_spectrum.n[0] == factor.n
             assert np.array_equal(spectra.singular_values[p], own_spectrum.singular_values[0])
@@ -177,14 +179,14 @@ class TestPrefixFactors:
     def test_constant_columns_per_prefix(self):
         x = np.random.default_rng(17).standard_normal((60, self.M))
         x[:30, 2] = 0.7  # constant over the first 30 rows only
-        flags = {f.n: f.constant.tolist() for f in prefix_factors(x, [10, 30, 31, 60])}
+        (factors,) = prefix_factors(x, [10, 30, 31, 60])
+        flags = {f.n: f.constant.tolist() for f in factors}
         assert flags[10] == flags[30] == [False, False, True, False, False]
         assert flags[31] == flags[60] == [False] * self.M
 
     def test_rejects_a_prefix_wider_than_tall(self):
-        with pytest.raises(DomainError, match="transpose") as exc:
+        with pytest.raises(DomainError, match=r"^need at least as many rows as columns, got 4 x 5$"):
             list(prefix_factors(np.ones((20, self.M)), [4, 20]))
-        assert "singular_spectrum" not in str(exc.value)
 
     @pytest.mark.parametrize("lengths", [[60], [-5], [0, 20], [10, 51]])
     def test_rejects_a_length_outside_the_rows(self, lengths):
@@ -199,24 +201,32 @@ class TestGramRoute:
     the baselines are those of the fold route."""
 
     @staticmethod
-    def _gated(x):
-        """The factor of all of *x*, and whether the Gram route made it."""
+    def _gated(x, lengths=None):
+        """The factors of the prefixes of *x* whose lengths are in *lengths*
+        (all of *x* by default), which must make one chunk, and whether the
+        Gram route made each."""
         ran, real = [], linalg._gram_factor
 
-        def recording(g):
-            r = real(g)
-            ran.append(r is not None)
-            return r
+        def recording(grams):
+            factors = real(grams)
+            assert len(factors) == len(grams)
+            ran.extend(r is not None for r in factors)
+            return factors
 
         with mock.patch.object(linalg, "_gram_factor", recording):
-            (factor,) = prefix_factors(x, [len(x)])
-        return factor, ran == [True]
+            (factors,) = prefix_factors(x, lengths or [len(x)])
+        assert len(ran) == len(factors)
+        return factors, ran
 
     @staticmethod
-    def _folded(x):
+    def _refused(grams):
+        """A gate that refuses every Gram, so that every R is folded."""
+        return [None] * len(grams)
+
+    def _folded(self, x):
         """The fold route's factor of all of *x*."""
-        with mock.patch.object(linalg, "_gram_factor", lambda g: None):
-            (factor,) = prefix_factors(x, [len(x)])
+        with mock.patch.object(linalg, "_gram_factor", self._refused):
+            ((factor,),) = prefix_factors(x, [len(x)])
         return factor
 
     @staticmethod
@@ -256,8 +266,8 @@ class TestGramRoute:
         x = (random_orthonormal(rng, n, m) * s) @ random_orthonormal(rng, m).T
         x = np.ldexp(x * rng.uniform(0.1, 10.0, m), exponents[:m])
         x[:, mean_column] += mean * np.abs(x[:, mean_column]).max()
-        (_, gram), fold = self._gated(x), self._folded(x)
-        assert self._selection(x, linalg._gram_factor) == self._selection(x, lambda g: None)
+        (_, (gram,)), fold = self._gated(x), self._folded(x)
+        assert self._selection(x, linalg._gram_factor) == self._selection(x, self._refused)
         r_eq = fold.r / np.linalg.norm(fold.r, axis=0)
         least = np.linalg.eigvalsh(r_eq.T @ r_eq)[0]
         delta = (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
@@ -272,8 +282,8 @@ class TestGramRoute:
         x = np.random.default_rng(19).standard_normal((50, 4))
         x[:, 2] = {"constant": 0.1, "zero": 0.0, "collinear": 3.0 * x[:, 0],
                    "near-ones": 1e9 + x[:, 1]}[column]
-        factor, gram = self._gated(x)
-        assert not gram
+        (factor,), routes = self._gated(x)
+        assert routes == [False]
         assert np.array_equal(factor.r, self._folded(x).r)
 
     def test_entries_whose_squares_underflow(self):
@@ -284,7 +294,36 @@ class TestGramRoute:
         x = rng.standard_normal((80, 6))
         x[:, 2] = np.ldexp(rng.standard_normal(80), -600)
         x[17, 2] = 1.0
-        assert self._selection(x, linalg._gram_factor) == self._selection(x, lambda g: None)
+        assert self._selection(x, linalg._gram_factor) == self._selection(x, self._refused)
+
+    def test_a_chunk_of_both_routes(self):
+        """One chunk holds prefixes on both sides of the last row of a
+        column constant over the first 50: those up to it fail the gate,
+        which then takes each Gram alone, and the longer ones pass it. Each
+        prefix gets the R, route, spectra and baselines of its rows alone,
+        bit for bit."""
+        x = np.random.default_rng(21).standard_normal((200, 6))
+        x[:50, 3] = 0.3
+        lengths = [6, 20, 49, 50, 51, 52, 100, 200]
+        factors, routes = self._gated(x, lengths)
+        assert routes == [False] * 4 + [True] * 4
+        epsilon = default_epsilon(6)
+        analyses = analyse(x, lengths, epsilon)
+        for factor, route, got in zip(factors, routes, analyses, strict=True):
+            n = factor.n
+            (own,), own_routes = self._gated(x[:n].copy())
+            assert own_routes == [route]
+            for mine, theirs in zip(factor, own):
+                assert np.array_equal(mine, theirs)
+            (want,) = analyse(x[:n].copy(), [n], epsilon)
+            assert got.spectrum.n == want.spectrum.n == n
+            assert np.array_equal(got.spectrum.singular_values, want.spectrum.singular_values)
+            assert got.baselines == want.baselines
+            assert ("skipped" in got.baselines) == (n <= 50)
+            (mine,), (theirs,) = got.reports, want.reports
+            assert mine.k_lower_opt == theirs.k_lower_opt and mine.k_upper_opt == theirs.k_upper_opt
+            for column, other in zip(mine.per_k, theirs.per_k):
+                assert np.array_equal(column, other)
 
 
 class TestJacobiSvd:
