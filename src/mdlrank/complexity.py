@@ -192,19 +192,26 @@ def _gap_ratio(lower_total: np.ndarray, upper_total: np.ndarray) -> np.ndarray:
 def _log_row_energies(x) -> np.ndarray:
     """Natural log of each row's energy X_i . X_i, floored at TAIL_FLOOR (a
     zero row). The rows are taken a grid block at a time, so no n x m copy
-    is made. Each block is read as a row-major copy, since numpy sums a row
-    in an order that depends on its memory layout; so the energies do not
-    depend on the layout of *x*. A row's value reads that row alone, so
-    those of a prefix of *x* are the first entries of those of *x*."""
-    step = BLOCK_FACTOR * (x.shape[1] + 1)
-    log_rows = []
-    for start in range(0, len(x), step):
-        block = np.ascontiguousarray(x[start : start + step])
-        scaled, exponent = binary_scaled(block, axis=1)
-        scaled *= scaled  # a fresh array: square in place
+    is made: each block is copied into one row-major buffer, allocated once
+    per call, where its rows are scaled by the powers of two of
+    :func:`~mdlrank.linalg.binary_scaled`, squared and summed in place.
+    numpy sums a row in an order that depends on its memory layout, so the
+    energies do not depend on the layout of *x*. A row's value reads that
+    row alone, so those of a prefix of *x* are the first entries of those
+    of *x*."""
+    n, m = x.shape
+    step = BLOCK_FACTOR * (m + 1)
+    buffer = np.empty((min(step, n), m))
+    log_rows = np.empty(n)
+    for start in range(0, n, step):
+        block = buffer[: min(step, n - start)]
+        np.copyto(block, x[start : start + step])
+        exponent = np.frexp(np.maximum(block.max(axis=1), -block.min(axis=1)))[1]
+        np.ldexp(block, -exponent[:, None], out=block)
+        block *= block
         with np.errstate(divide="ignore"):
-            log_rows.append(np.log(np.sum(scaled, axis=1)) + 2 * LN2 * exponent[:, 0])
-    return np.maximum(np.concatenate(log_rows), LOG_TAIL_FLOOR)
+            log_rows[start : start + len(block)] = np.log(np.sum(block, axis=1)) + 2 * LN2 * exponent
+    return np.maximum(log_rows, LOG_TAIL_FLOOR)
 
 
 def _log_grams(spectra: Spectrum, gram_mode: str, x) -> np.ndarray:

@@ -122,7 +122,7 @@ def generate_lin(spec: SyntheticSpec) -> np.ndarray:
             if not np.isfinite(col).all():
                 raise DomainError(
                     f"mixed column {j + 1} leaves the float64 range with mix range "
-                    f"[{spec.mix_low}, {spec.mix_high}]"
+                    f"[{spec.mix_low}, {spec.mix_high}] and noise_sigma {spec.noise_sigma}"
                 )
     return x
 

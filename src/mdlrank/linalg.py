@@ -105,7 +105,10 @@ def prefix_factors(a, lengths):
     Householder QR, a stream advanced only for the prefixes that need it.
     Either way a prefix's R is a function of its own rows, and P prefixes
     of n rows cost O(n m^2 + P m^3): half the flops of the folds on the
-    Gram route, which a well-conditioned input never leaves.
+    Gram route, which a well-conditioned input never leaves. Every column
+    exponent stays in the int32 (``np.intc``) that ``np.frexp`` gives, on
+    both routes: numpy's ``ldexp`` loop for int64 exponents is several
+    times slower, and it would rescale every running Gram.
     """
     ends = sorted(set(lengths))
     n, m = a.shape
@@ -123,7 +126,7 @@ def prefix_factors(a, lengths):
     lows = np.minimum.accumulate([np.full(m, np.inf)] + [b.min(axis=0) for b in blocks])
     highs = np.maximum.accumulate([np.full(m, -np.inf)] + [b.max(axis=0) for b in blocks])
     peaks = np.maximum(highs, -lows)
-    gram, exponent, summed = np.zeros((m + 1, m + 1)), np.zeros(m, dtype=int), 0
+    gram, exponent, summed = np.zeros((m + 1, m + 1)), np.zeros(m, dtype=np.intc), 0
     fold, fold_exponent, folded = np.zeros((0, m + 1)), exponent, 0
     size = max(1, STACK_BYTES // (8 * (m + 1) ** 2))
     for first in range(0, len(ends), size):
@@ -158,9 +161,11 @@ def _gram(g, exponent, rows, peak):
     """*g*, the Gram of the scaled ``[X | 1]`` of the rows so far, plus that
     of ``[rows | 1]``, and the column exponents, those of the magnitudes
     *peak*. *g* moves from *exponent* onto them first, by powers of two,
-    which is exact unless an entry falls below 2**-1022."""
+    which is exact unless an entry falls below 2**-1022. The shift stays in
+    frexp's int32, since numpy's int64 ``ldexp`` loop is several times
+    slower."""
     new = np.frexp(peak)[1]
-    shift = np.append(exponent - new, 0)
+    shift = np.append(exponent - new, np.intc(0))
     if shift.any():
         g = np.ldexp(g, shift[:, None] + shift)
     stacked = np.empty((len(rows), len(new) + 1), order="F")

@@ -1117,16 +1117,24 @@ class TestBadFlagValues:
         assert status == 2 and "synthetic spec" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_mix_range_overflowing_a_column(self, tmp_path, capsys):
-        """Finite bounds whose mixtures leave float64 are a numerical error
-        (exit 4) with no numpy warning; generate then writes no file."""
-        spec = ["--n", "50", "--m", "6", "--true-k", "3", "--mix-low=-1e308", "--mix-high", "0"]
+    @pytest.mark.parametrize(
+        "spec",
+        [["--m", "6", "--true-k", "3", "--mix-low=-1e308", "--mix-high", "0"],
+         ["--m", "4", "--true-k", "2", "--noise", "1e308"]],
+        ids=["mix", "noise"],
+    )
+    def test_mix_range_overflowing_a_column(self, tmp_path, capsys, spec):
+        """Finite mix bounds or a finite noise_sigma whose mixtures leave
+        float64 are a numerical error (exit 4) naming both, with no numpy
+        warning; generate then writes no file."""
+        spec = ["--n", "50", *spec]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status, _, err = _run(["select", "--synthetic", "lin", *spec], capsys)
-            assert status == 4 and "float64 range" in err
+            assert status == 4 and "float64 range" in err and "noise_sigma" in err
             status, _, err = _run(["generate", *spec, "--out", str(tmp_path / "big.csv")], capsys)
-        assert status == 4 and "mixed column" in err and "Warning" not in err
+        assert status == 4 and "mixed column" in err and "noise_sigma" in err
+        assert "Warning" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", [str(10**17), str(10**20)], ids=["1e17", "1e20"])

@@ -325,6 +325,48 @@ class TestGramRoute:
             for column, other in zip(mine.per_k, theirs.per_k):
                 assert np.array_equal(column, other)
 
+    @pytest.mark.parametrize("route", ["gram", "fold"])
+    def test_exponents_stay_int32(self, route):
+        """Every exponent that reaches np.ldexp, and every Factor's, is
+        frexp's int32 on either route, at ends on the block grid and past
+        it: numpy's int64 ldexp loop is several times slower."""
+        m = 5
+        step = BLOCK_FACTOR * (m + 1)
+        x = np.random.default_rng(22).standard_normal((4 * step, m)) * [1e-9, 1.0, 3.0, 1e9, 0.5]
+        lengths = [step - 1, step, step + 1, 2 * step, 3 * step + 7, 4 * step]
+        gate = linalg._gram_factor if route == "gram" else self._refused
+        real, dtypes = np.ldexp, set()
+
+        def recording(x1, x2, *args, **kwargs):
+            dtypes.add(np.asarray(x2).dtype)
+            return real(x1, x2, *args, **kwargs)
+
+        with mock.patch.object(linalg, "_gram_factor", gate), mock.patch.object(np, "ldexp", recording):
+            (factors,) = prefix_factors(x, lengths)
+        assert [f.n for f in factors] == lengths
+        assert {f.exponent.dtype for f in factors} == dtypes == {np.dtype(np.intc)}
+        assert self._gated(x, lengths)[1] == [True] * len(lengths)  # the gate admits x
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gram_rescale_is_the_int64_ldexp(self, seed):
+        """_gram moves the running Gram onto the new exponents exactly as
+        an int64 ldexp would, bit for bit, also where the shift takes an
+        entry below 2**-1022."""
+        rng = np.random.default_rng(seed)
+        m = 7
+        g = rng.standard_normal((m + 1, m + 1))
+        exponent = rng.integers(-400, 400, m).astype(np.intc)
+        new = exponent - rng.integers(-3, 4, m).astype(np.intc)
+        # two columns shifted by 2**-540 and 2**-520: their product entries
+        # land among the subnormals, where ldexp rounds
+        new[[seed % m, (seed + 1) % m]] = exponent[[seed % m, (seed + 1) % m]] + [540, 520]
+        got, got_exponent = linalg._gram(g, exponent, np.empty((0, m)), np.ldexp(0.75, new))
+        shift = np.append(exponent - new, 0).astype(np.int64)
+        want = np.ldexp(g, shift[:, None] + shift) + 0.0  # the empty rows' Gram adds +0
+        assert np.any((want != 0) & (np.abs(want) < 2.0**-1022))
+        assert got.tobytes() == want.tobytes()
+        assert got_exponent.dtype == np.intc and np.array_equal(got_exponent, new)
+
 
 class TestJacobiSvd:
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])

@@ -2,9 +2,9 @@
 the names README lists as the package root's exports are exactly
 ``mdlrank.__all__``, every flag its command-line section names is a CLI
 option, the version and schema version it states are the ones the code
-reports, and the schema pins the schema version, gram modes and per-k
-columns the code writes. The CLI imports nothing from ``linalg``, as the
-module list in README says."""
+reports, every warning the suite fails on is named, and the schema pins
+the schema version, gram modes and per-k columns the code writes. The CLI
+imports nothing from ``linalg``, as the module list in README says."""
 
 import argparse
 import ast
@@ -63,6 +63,20 @@ def test_pyproject_version_is_the_package_version():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == mdlrank.__version__
+
+
+def test_readme_names_every_warning_the_suite_fails_on():
+    """Each ``error::`` entry of pytest's filterwarnings, its category and
+    any module it is limited to, is named in README's sentence on them."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    filters = re.search(r"^filterwarnings = \[(.*?)^\]", text, re.M | re.S).group(1)
+    entries = re.findall(r'"error::([\w.]+)(?::([\w.]+))?"', filters)
+    readme = README.read_text(encoding="utf-8")
+    sentence = re.search(r"The suite treats as a failure .*?\.(?=\s)", readme, re.S).group(0)
+    assert entries
+    for category, module in entries:
+        assert f"`{category.rsplit('.', 1)[-1]}`" in sentence, category
+        assert not module or f"`{module}`" in sentence, module
 
 
 def test_readme_schema_version_is_the_reports():
