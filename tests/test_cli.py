@@ -1117,17 +1117,9 @@ class TestBadFlagValues:
         assert status == 2 and "synthetic spec" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "spec",
-        [["--m", "6", "--true-k", "3", "--mix-low=-1e308", "--mix-high", "0"],
-         ["--m", "4", "--true-k", "2", "--noise", "1e308"]],
-        ids=["mix", "noise"],
-    )
-    def test_mix_range_overflowing_a_column(self, tmp_path, capsys, spec):
-        """Finite mix bounds or a finite noise_sigma whose mixtures leave
-        float64 are a numerical error (exit 4) naming both, with no numpy
-        warning; generate then writes no file."""
-        spec = ["--n", "50", *spec]
+    def _assert_overflow_is_numerical_error(self, tmp_path, capsys, spec):
+        """select and generate on ``spec`` both exit 4 naming the mix range
+        and noise_sigma, with no numpy warning; generate writes no file."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status, _, err = _run(["select", "--synthetic", "lin", *spec], capsys)
@@ -1136,6 +1128,18 @@ class TestBadFlagValues:
         assert status == 4 and "mixed column" in err and "noise_sigma" in err
         assert "Warning" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_mix_range_overflowing_a_column(self, tmp_path, capsys):
+        """Finite bounds whose mixtures leave float64 are a numerical error
+        (exit 4) with no numpy warning; generate then writes no file."""
+        spec = ["--n", "50", "--m", "6", "--true-k", "3", "--mix-low=-1e308", "--mix-high", "0"]
+        self._assert_overflow_is_numerical_error(tmp_path, capsys, spec)
+
+    def test_noise_overflowing_a_column(self, tmp_path, capsys):
+        """A finite noise_sigma that overflows a column under the default mix
+        range is the same numerical error, and the message names noise_sigma."""
+        spec = ["--n", "50", "--m", "4", "--true-k", "2", "--noise", "1e308"]
+        self._assert_overflow_is_numerical_error(tmp_path, capsys, spec)
 
     @pytest.mark.parametrize("n", [str(10**17), str(10**20)], ids=["1e17", "1e20"])
     @pytest.mark.parametrize(
