@@ -478,7 +478,10 @@ def _add_select_flags(sub):
     sub.add_argument("--out", help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, and building it is 64 add_argument calls."""
     parser = argparse.ArgumentParser(
         prog="mdlrank",
         description="Select the number of principal components by code-length minimization.",

@@ -4,6 +4,7 @@ generators with planted linear structure."""
 import csv
 import importlib.resources
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -148,29 +149,49 @@ def generator_metadata(spec: SyntheticSpec) -> dict:
 
 
 def _read_fast(path, has_header):
-    """One streaming ``np.loadtxt`` read of a numeric CSV.
+    """One ``np.loadtxt`` read of a numeric CSV, handed the file's path.
 
     Returns (names, matrix) with at least one row and every row as wide as
     the names; returns None whenever the file needs the scanner's verdict
     instead (a cell loadtxt cannot convert, a ragged row, no data, a quoted
     header, an unreadable file). Its cells may be NaN or infinite: each
     caller checks them once, and sends such a file to the scanner.
+
+    loadtxt gets the path, not an open file: it opens a path itself and
+    its C reader pulls the text in blocks, where a file object costs one
+    Python string and one reader call per line. It skips the physical
+    lines the header read took; both count lines the same way, as
+    universal newlines do. The file is opened twice, so only a regular
+    file takes this read: a second open of a pipe would miss what the
+    first one buffered, and the scanner reads its input once. A name
+    numpy would decompress by its suffix (or fetch, as a URL) goes to
+    the scanner too, which reads every file as plain text.
     """
+    path = os.fsdecode(path)
+    if (
+        not os.path.isfile(path)
+        or path.endswith((".gz", ".bz2", ".xz", ".lzma"))
+        or "://" in path
+    ):
+        return None
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            names = None
-            if has_header:
+        names, skip = None, 0
+        if has_header:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 line = fh.readline()
+                skip = 1
                 while line and not line.strip("\r\n"):  # csv drops blank lines
                     line = fh.readline()
-                if not line or '"' in line:
-                    return None
-                names = tuple(cell.strip() for cell in next(csv.reader([line])))
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                matrix = np.loadtxt(
-                    fh, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=np.float64
-                )
+                    skip += 1
+            if not line or '"' in line:
+                return None
+            names = tuple(cell.strip() for cell in next(csv.reader([line])))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            matrix = np.loadtxt(
+                path, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                dtype=np.float64, skiprows=skip, encoding="utf-8-sig",
+            )
     except (OSError, ValueError, csv.Error):
         return None
     if names is None:

@@ -1,5 +1,7 @@
 import csv
 import errno
+import argparse
+import contextlib
 import io
 import json
 import math
@@ -8,6 +10,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -584,6 +587,70 @@ class TestOneDecompositionPerMatrix:
         status, _, _ = _run(["scree", "--input", str(p), "--raw"], capsys)
         assert status == 0
         self._check(calls, m=8, prefixes=1, svds=1, rows=200)
+
+
+class TestParserBuiltOnce:
+    def test_two_calls_construct_one_parser(self, monkeypatch, capsys):
+        """main reuses the parser of the first call: the second call builds
+        no parser or subparser of its own."""
+        made, real = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            argv = ["scree", "--input", str(bundled_fixture_path())]
+            assert _run(argv, capsys)[0] == 0
+            first = list(made)
+            assert _run(argv, capsys)[0] == 0
+            assert made == first and made.count("mdlrank") == 1
+        finally:
+            cli.build_parser.cache_clear()  # no parser built under the spy outlives it
+
+
+def _feed(fifo, data):
+    """Write *data* to the FIFO once; a reader that closes early ends it."""
+    with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+        fh.write(data)
+
+
+class TestPipedInput:
+    FIXTURE = str(bundled_fixture_path())
+
+    @pytest.mark.parametrize("source", ["fifo", "stdin"])
+    def test_a_pipe_is_read_once_and_whole(self, tmp_path, capsys, source):
+        """A pipe can be read only once, so its rows come from the scanner:
+        the report equals the regular file's apart from input.path. The
+        fixture is larger than a pipe's buffer, and any second open of the
+        pipe would miss the rows a first read took."""
+        if not os.path.isdir("/dev/fd") or not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs or /dev/fd")
+        with open(self.FIXTURE, "rb") as fh:
+            data = fh.read()
+        path = "/dev/stdin" if source == "stdin" else str(tmp_path / "prices.fifo")
+        cmd = [sys.executable, "-m", "mdlrank.cli", "select", "--input", path, "--reproducible"]
+        if source == "stdin":
+            proc = subprocess.run(cmd, input=data, capture_output=True, timeout=120)
+        else:
+            os.mkfifo(path)
+            writer = threading.Thread(target=_feed, args=(path, data), daemon=True)
+            writer.start()
+            try:
+                proc = subprocess.run(cmd, capture_output=True, timeout=120)
+            finally:
+                if writer.is_alive():  # blocked in open() when no reader came
+                    os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join(timeout=30)
+            assert not writer.is_alive()
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 260
+        status, expected, _ = _run(["select", "--input", self.FIXTURE, "--reproducible"], capsys)
+        assert status == 0
+        report = proc.stdout.decode().replace(json.dumps(path), json.dumps(self.FIXTURE))
+        assert report == expected
 
 
 class TestScree:

@@ -24,7 +24,7 @@ ODD = st.sampled_from(
 )
 # mostly numbers, so that many texts parse
 CELLS = st.integers(0, 19).flatmap(lambda roll: ODD if roll == 0 else NUMBERS)
-LINE_ENDS = st.sampled_from(["\n", "\r\n"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 import warnings
 
@@ -287,6 +288,22 @@ class TestVectorisedRead:
     """Well-formed files take one loadtxt pass; the scanner runs only for
     files that pass needs its verdict on."""
 
+    @staticmethod
+    def _read_without_the_scanner(monkeypatch, paths, header, expected):
+        """Both loaders read each of *paths* to the scanner's *expected*
+        names and bytes without calling the scanner."""
+
+        def scanner(*args):
+            raise AssertionError("the scanner ran on a well-formed file")
+
+        monkeypatch.setattr(datasets, "_parse_cells", scanner)
+        want = np.array([r for _, r in expected[1]], dtype=np.float64)
+        for path in paths:
+            table = load_csv(path, has_header=header)
+            names, matrix = load_matrix_csv(path, has_header=header)
+            assert table.column_names == names == expected[0]
+            assert table.prices.tobytes() == matrix.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("header", [True, False])
     def test_well_formed_files_skip_the_scanner(self, tmp_path, monkeypatch, header):
         """A leading byte-order mark, as Excel's "CSV UTF-8" writes, changes
@@ -295,17 +312,54 @@ class TestVectorisedRead:
         bom = tmp_path / "bom.csv"
         bom.write_text("\ufeff" + p.read_text(), encoding="utf-8")
         expected = datasets._parse_cells(p, header)
+        self._read_without_the_scanner(monkeypatch, (p, bom), header, expected)
 
-        def scanner(*args):
-            raise AssertionError("the scanner ran on a well-formed file")
+    @pytest.mark.parametrize("header", [True, False])
+    def test_blank_lines_around_the_header_skip_the_scanner(self, tmp_path, monkeypatch, header):
+        """loadtxt skips exactly the lines the header read took, blank ones
+        of every line end included."""
+        first, rest = _write_prices(tmp_path / "p.csv", 30, 4, header=header).read_text().split("\n", 1)
+        text = "\n\r\n\r" + first + "\r\n" + "\r\n\n\r" + rest
+        paths = (tmp_path / "blank.csv", tmp_path / "bom.csv")
+        for path, bom in zip(paths, ("", "\ufeff")):
+            path.write_text(bom + text, encoding="utf-8", newline="")
+        expected = datasets._parse_cells(paths[0], header)
+        assert len(expected[1]) == 30
+        self._read_without_the_scanner(monkeypatch, paths, header, expected)
 
-        monkeypatch.setattr(datasets, "_parse_cells", scanner)
-        want = np.array([r for _, r in expected[1]], dtype=np.float64)
-        for path in (p, bom):
-            table = load_csv(path, has_header=header)
-            names, matrix = load_matrix_csv(path, has_header=header)
-            assert table.column_names == names == expected[0]
-            assert table.prices.tobytes() == matrix.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("header", [True, False])
+    def test_loadtxt_is_handed_the_path(self, tmp_path, monkeypatch, header):
+        """A path, not an open file: numpy then reads the text in blocks."""
+        p = _write_prices(tmp_path / "p.csv", 30, 4, header=header)
+        real, firsts = np.loadtxt, []
+
+        def spy(fname, *args, **kwargs):
+            firsts.append(fname)
+            return real(fname, *args, **kwargs)
+
+        monkeypatch.setattr(datasets.np, "loadtxt", spy)
+        assert datasets._read_fast(p, header) is not None
+        assert len(firsts) == 1 and isinstance(firsts[0], (str, os.PathLike))
+
+    @pytest.mark.parametrize("name", ["p.gz", "http://host/p.csv"])
+    def test_names_numpy_would_not_read_as_text_go_to_the_scanner(self, tmp_path, monkeypatch, name):
+        """Handed such a path, numpy would decompress the file by its suffix
+        or fetch it as a URL; the scanner reads it as the plain text it is."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        p = _write_prices(tmp_path / name, 30, 4)
+        expected = datasets._parse_cells(p, True)
+
+        real = np.loadtxt
+
+        def refuse(fname, *args, **kwargs):
+            assert not isinstance(fname, (str, os.PathLike)), "np.loadtxt was handed the path"
+            return real(fname, *args, **kwargs)
+
+        monkeypatch.setattr(datasets.np, "loadtxt", refuse)
+        names, matrix = load_matrix_csv(name)
+        assert names == expected[0]
+        assert matrix.tobytes() == np.array([r for _, r in expected[1]]).tobytes()
 
     @pytest.mark.parametrize("load", [load_csv, load_matrix_csv])
     def test_one_finiteness_pass_per_file(self, tmp_path, monkeypatch, load):
