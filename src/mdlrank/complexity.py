@@ -32,14 +32,10 @@ import numpy as np
 
 from .baselines import kaiser, kneedle, scree
 from .errors import DegenerateInputError, DomainError
-from .linalg import (BLOCK_FACTOR, STACK_BYTES, Spectrum, as_matrix, binary_scaled,
+from .linalg import (BLOCK_FACTOR, STACK_BYTES, UNIT_ROUNDOFF, Spectrum, as_matrix, binary_scaled,
                      constant_column, correlation_values, factor_spectrum, prefix_factors)
 from .quantization import validate_epsilon
 
-# substituted for the residual energy before taking ln, so exactly low-rank
-# inputs still rank instead of producing -inf arithmetic
-TAIL_FLOOR = 1e-300
-LOG_TAIL_FLOOR = math.log(TAIL_FLOOR)
 LN2 = math.log(2.0)
 
 GRAM_MODES = ("full_gram", "per_row_sum")
@@ -132,10 +128,10 @@ def score_stack(spectra: Spectrum, log_gram, epsilon: float) -> ScoreTable:
     P x (m - 1), row p that of spectrum p and column k - 1 that of rank k.
 
     The residual energies are reverse cumulative sums of the squared
-    singular values, taken in log space. A residual energy below TAIL_FLOOR
-    is floored and its rank marked accordingly. Each row's arithmetic reads
-    that row alone, so a row equals its spectrum scored on its own, bit for
-    bit.
+    singular values, taken in log space. One below :func:`_zero_energy` is
+    scored at it and its rank marked ``floored``; an all-zero spectrum, with
+    no scale to floor against, is refused. Each row's arithmetic reads that
+    row alone, so a row equals its spectrum scored on its own, bit for bit.
     """
     values = np.asarray(spectra.singular_values, dtype=np.float64)
     n = np.reshape(spectra.n, (-1, 1))
@@ -147,6 +143,8 @@ def score_stack(spectra: Spectrum, log_gram, epsilon: float) -> ScoreTable:
         raise DomainError(f"n={n[n < m][0]} must be >= m={m}")
     if not np.isfinite(log_gram).all():
         raise DomainError(f"log_gram must be finite, got {log_gram[~np.isfinite(log_gram)][0]}")
+    if not values.any(axis=1).all():
+        raise DomainError("an all-zero spectrum has no scale to floor its residual energies against")
     validate_epsilon(epsilon, m)
 
     scaled, exponent = binary_scaled(values, axis=1)
@@ -154,10 +152,9 @@ def score_stack(spectra: Spectrum, log_gram, epsilon: float) -> ScoreTable:
     # tails[:, k - 1]: sum of s_i^2, i > k. Copied contiguous before the log,
     # since numpy's log loop for a reversed view can differ in the last bit
     tails = np.ascontiguousarray(np.cumsum(energy[:, ::-1], axis=1)[:, -2::-1])
-    with np.errstate(divide="ignore"):
-        log_tail = np.log(tails) + 2 * LN2 * exponent
-    floored = log_tail < LOG_TAIL_FLOOR
-    log_tail = np.where(floored, LOG_TAIL_FLOOR, log_tail)
+    floor = _zero_energy(n, scaled)
+    floored = tails < floor
+    log_tail = np.log(np.where(floored, floor, tails)) + 2 * LN2 * exponent
 
     k = np.arange(1, m)
     nk = n * k
@@ -189,9 +186,16 @@ def _gap_ratio(lower_total: np.ndarray, upper_total: np.ndarray) -> np.ndarray:
     return np.where(lower_total == 0.0, None, gap)
 
 
+def _zero_energy(n, scaled) -> np.ndarray:
+    """n*m*(u*s1)^2 per row of the binary_scaled P x m stack *scaled*, in its
+    units: an energy below it is the decomposition's rounding (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 19)."""
+    return np.reshape(n, (-1, 1)) * scaled.shape[1] * (UNIT_ROUNDOFF * scaled[:, :1]) ** 2
+
+
 def _log_row_energies(x) -> np.ndarray:
-    """Natural log of each row's energy X_i . X_i, floored at TAIL_FLOOR (a
-    zero row). The rows are taken a grid block at a time, so no n x m copy
+    """Natural log of each row's energy X_i . X_i, -inf for a zero
+    row. The rows are taken a grid block at a time, so no n x m copy
     is made: each block is copied into one row-major buffer, allocated once
     per call, where its rows are scaled by the powers of two of
     :func:`~mdlrank.linalg.binary_scaled`, squared and summed in place.
@@ -211,7 +215,7 @@ def _log_row_energies(x) -> np.ndarray:
         block *= block
         with np.errstate(divide="ignore"):
             log_rows[start : start + len(block)] = np.log(np.sum(block, axis=1)) + 2 * LN2 * exponent
-    return np.maximum(log_rows, LOG_TAIL_FLOOR)
+    return log_rows
 
 
 def _log_grams(spectra: Spectrum, gram_mode: str, x) -> np.ndarray:
@@ -221,16 +225,17 @@ def _log_grams(spectra: Spectrum, gram_mode: str, x) -> np.ndarray:
 
     full_gram uses the squared Frobenius norm of X^T X, which is the sum of
     the fourth powers of the singular values. per_row_sum encodes the
-    per-row form k * sum_j ln(X_j . X_j) by passing the mean log row
-    energy (:func:`_log_row_energies`, taken once for all prefixes), since
-    n*k times that mean equals the sum.
+    per-row form k * sum_j ln(X_j . X_j), each row energy at least the
+    prefix's :func:`_zero_energy`, by the mean of :func:`_log_row_energies`
+    (taken once for all prefixes), since n*k times that mean equals the sum.
     """
+    scaled, exponent = binary_scaled(spectra.singular_values, axis=1)
     if gram_mode == "full_gram":
-        scaled, exponent = binary_scaled(spectra.singular_values, axis=1)
         sums = np.sum(scaled**4, axis=1).tolist()
         return np.array([math.log(total) for total in sums]) + 4 * LN2 * exponent[:, 0]
+    floors = (np.log(_zero_energy(spectra.n, scaled)) + 2 * LN2 * exponent)[:, 0].tolist()
     log_rows = _log_row_energies(x[: np.max(spectra.n)])
-    return np.array([np.mean(log_rows[:n]) for n in spectra.n])
+    return np.array([np.mean(np.maximum(log_rows[:n], floor)) for n, floor in zip(spectra.n, floors)])
 
 
 def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: float = 1.0) -> list:
@@ -262,10 +267,11 @@ def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: 
         counts += [None if reason else next(kept) for reason in why]
         reasons += why
     stack = Spectrum(n=ns, singular_values=np.concatenate(values))
-    # only an all-zero matrix has an all-zero spectrum; refused as such
-    # before the baselines
-    if not np.any(stack.singular_values, axis=1).all():
-        raise DegenerateInputError("all-zero matrix has no signal to rank")
+    # a spectrum is all-zero only if its rows are, so those prefixes come first
+    zeros = np.count_nonzero(~stack.singular_values.any(axis=1))
+    if zeros:
+        what = "matrix" if ns[zeros - 1] == len(a) else f"prefix of {ns[zeros - 1]} rows"
+        raise DegenerateInputError(f"all-zero {what} has no signal to rank")
     selections = []
     for mode in gram_modes:
         table = score_stack(stack, _log_grams(stack, mode, a), epsilon)

@@ -296,12 +296,11 @@ def correlation_values(factors) -> np.ndarray:
     r = np.stack([f.r.T for f in factors], out=np.empty((len(factors), size, size))).transpose(0, 2, 1)
     ones, columns = r[:, :, -1:], r[:, :, :-1]
     u = ones / np.sqrt(ones.transpose(0, 2, 1) @ ones)
-    # centred and scaled in place in the projection's buffer: no two more
-    # stack-sized temporaries, and the row-major layout ``columns -
-    # projection`` would have, so the norms sum in the same order
+    # centred, and scaled by einsum's column norms, in the projection's buffer
+    # and with no squared copy: no more stack-sized temporaries
     centred = u @ (u.transpose(0, 2, 1) @ columns)
     np.subtract(columns, centred, out=centred)
-    centred /= np.linalg.norm(centred, axis=1, keepdims=True)
+    centred /= np.sqrt(np.einsum("pij,pij->pj", centred, centred))[:, None, :]
     return _stacked_values(centred) ** 2
 
 

@@ -41,8 +41,9 @@ def full_gram_totals(y, epsilon, log2_scale=0):
     tails = np.cumsum(lam)[::-1]  # tails[k]: the m - k smallest, sum of s_i^2 for i > k
     k = np.arange(1, m)
     shift = 2 * log2_scale * math.log(2.0)
-    with np.errstate(divide="ignore"):
-        log_tail = np.maximum(np.log(tails[1:]) + shift, math.log(1e-300))
+    # README: a residual energy below n*m*(u*s1)^2 is scored at that floor
+    floor = n * m * (np.finfo(np.float64).eps / 2) ** 2 * lam[-1]
+    log_tail = np.log(np.maximum(tails[1:], floor)) + shift
     log_gram = math.log(float(np.sum(lam * lam))) + 2 * shift
     terms = (
         (n * m - n * k) * log_tail,

@@ -404,10 +404,10 @@ class TestExtremeScales:
                 for row in block["per_k"]:
                     assert math.isfinite(row["lower_total"]) and math.isfinite(row["upper_total"])
             assert report["baselines"] == unit["baselines"]
-            floored = [row["floored"] for row in report["per_k"]]
-            # residual energies below the 1e-300 floor are floored and marked
-            assert any(floored) == (scale < 1.0)
-            assert not any(row["floored"] for row in unit["per_k"])
+            # the floor is relative to the largest singular value, so no
+            # rank of this full-rank Gaussian is floored at any scale
+            for block in (unit, unit["alt"], report, report["alt"]):
+                assert not any(row["floored"] for row in block["per_k"])
 
     # at 1e300 the largest singular value is about 4e301
     @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300, 1e-160, 1e-300])
@@ -1665,6 +1665,11 @@ class TestErrorTaxonomy:
         p.write_text("0,0\n0,0\n0,0\n")
         status, _, err = _run(["select", "--input", str(p), "--raw", "--no-header"], capsys)
         assert status == 3 and "data error" in err
+        assert "all-zero matrix has no signal to rank" in err
+        # every prefix is all-zero too; the whole matrix is named
+        argv = ["compare", "--input", str(p), "--raw", "--no-header", "--lengths", "2,3"]
+        status, _, err = _run(argv, capsys)
+        assert status == 3 and "all-zero matrix has no signal to rank" in err
 
     def test_all_zero_prefix_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "zero.csv"
@@ -1674,7 +1679,7 @@ class TestErrorTaxonomy:
         argv = ["compare", "--input", str(p), "--raw", "--no-header", "--lengths"]
         assert _run(argv + ["30,11"], capsys)[0] == 0
         status, out, err = _run(argv + ["30,10"], capsys)
-        assert status == 3 and out == "" and "all-zero" in err
+        assert status == 3 and out == "" and "all-zero prefix of 10 rows has no signal to rank" in err
 
     def test_nonpositive_price_without_raw_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "neg.csv"

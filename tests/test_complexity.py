@@ -20,6 +20,7 @@ from mdlrank import (
 )
 from mdlrank import complexity, quantized_unitary_log_count_bound
 from mdlrank.complexity import GRAM_MODES, ScoreTable, _gap_ratio, regression_nml, score_stack
+from mdlrank.linalg import UNIT_ROUNDOFF
 from helpers import planted_rank_matrix
 
 # seeded once per example: deterministic, and no example database on disk
@@ -109,16 +110,27 @@ class TestScoreTable:
             score_table(s, math.inf, epsilon=1 / 6)  # gram energy must be finite
 
     def test_tail_floor_marks_exactly_zero_tail(self):
+        """A zero residual energy is scored at n*m*(u*s1)^2."""
         table = score_table(_spectrum(20, [3.0, 2.0, 0.0, 0.0, 0.0]), math.log(10.0), epsilon=0.1)
         assert table.floored.tolist() == [False, True, True, True]
         assert np.all(np.isfinite(table.lower_total))
+        floor = 20 * 5 * (UNIT_ROUNDOFF * 3.0) ** 2
+        want = (20 * 5 - 20 * table.k[1:]) * math.log(floor)
+        np.testing.assert_allclose(table.tail_term[1:], want, rtol=1e-15)
+
+    def test_exact_rank_tails_are_floored(self):
+        """The tails of an exactly rank-2 matrix beyond rank 2 are rounding
+        noise, not zero, and are floored."""
+        x = planted_rank_matrix(np.random.default_rng(9), 20, 5, 2)
+        table = score_table(singular_spectrum(x), math.log(10.0), epsilon=0.1)
+        assert table.floored.tolist() == [False, True, True, True]
 
     def test_tiny_nonzero_tail_not_floored(self):
-        rng = np.random.default_rng(9)
-        x = planted_rank_matrix(rng, 20, 5, 2)
+        """A column scaled by 2**-30 leaves a small but real tail."""
+        x = np.random.default_rng(9).standard_normal((20, 5))
+        x[:, 4] = np.ldexp(x[:, 4], -30)
         table = score_table(singular_spectrum(x), math.log(10.0), epsilon=0.1)
-        assert table.k[4 - 1] == 4
-        assert not table.floored[4 - 1]
+        assert not table.floored.any()
         assert math.isfinite(table.lower_total[4 - 1])
 
 
@@ -134,8 +146,8 @@ class TestScoreStack:
         data=st.data(),
     )
     def test_each_row_is_its_spectrum_scored_alone(self, seed, m, rows, data):
-        """Mixed row counts and scales, zero values, and tails below
-        TAIL_FLOOR: every cell of every row has the bits of score_table."""
+        """Mixed row counts and scales, zero values, and numerically zero
+        tails: every cell of every row has the bits of score_table."""
         rng = np.random.default_rng(seed)
         spectra = []
         for _ in range(rows):
@@ -143,7 +155,7 @@ class TestScoreStack:
             values = np.ldexp(values, data.draw(st.integers(-600, 600), label="exponent"))
             cliff = data.draw(st.integers(1, m), label="cliff")
             values[cliff:] = np.ldexp(values[cliff:], -data.draw(st.integers(0, 800), label="drop"))
-            values[m - data.draw(st.integers(0, m), label="zeros"):] = 0.0
+            values[m - data.draw(st.integers(0, m - 1), label="zeros"):] = 0.0
             spectra.append(Spectrum(m + data.draw(st.integers(0, 500), label="extra"), values))
         log_gram = [data.draw(st.floats(-1e3, 1e3), label="log_gram") for _ in range(rows)]
         epsilon = 1 / data.draw(st.integers(m + 1, 4 * m), label="1/epsilon")
@@ -158,6 +170,12 @@ class TestScoreStack:
                 got = column[p]
                 assert got.dtype == want.dtype, name
                 assert list(map(repr, got.tolist())) == list(map(repr, want.tolist())), (p, name)
+
+    def test_all_zero_spectrum_rejected(self):
+        """It has no scale to floor its residual energies against."""
+        stack = Spectrum(n=[4, 4], singular_values=np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(DomainError, match="all-zero spectrum"):
+            score_stack(stack, [0.0, 0.0], 1 / 6)
 
 
 class TestSlack:
@@ -460,19 +478,109 @@ def _totals(rep):
 def test_full_gram_scale_identity(seed, log10_c):
     """Rescaling X by c adds exactly 2nm ln c + 2nk ln c to the rank-k
     score under full_gram (the tail energy is quadratic in X, the gram
-    energy quartic), for c from 1e-100 to 1e100. Floored ranks are exempt:
-    their residual energy is replaced by a constant."""
+    energy quartic), for c from 1e-100 to 1e100."""
     n, m = 15, 5
     x = _gaussian(seed, n, m)
     c = 10.0**log10_c
     t0, t1 = select_rank(x).per_k, select_rank(x * c).per_k
     ln_c = math.log(c)
-    kept = ~(t0.floored | t1.floored)
     shift = 2 * n * m * ln_c + 2 * n * t0.k * ln_c
     magnitude = sum(np.abs(v) for v in (t0.tail_term, t0.gram_term, t1.tail_term, t1.gram_term))
     error = np.abs((t1.lower_total - t0.lower_total) - shift)
-    assert np.all((error <= 1e-12 * magnitude + 1e-9)[kept])
+    assert np.all(error <= 1e-12 * magnitude + 1e-9)
     assert np.array_equal(t1.delta_upper, t0.delta_upper)
+
+
+EXACT_KINDS = ("planted", "lin", "integer")
+
+
+def _exact_rank(kind, seed, n, m, r):
+    """An exactly rank-r n x m matrix: a planted spectrum in [1, 10],
+    generate_lin without noise, or the product of two integer factors in
+    [-9, 9] of full rank r."""
+    rng = np.random.default_rng(seed)
+    if kind == "planted":
+        return planted_rank_matrix(rng, n, m, r)
+    if kind == "lin":
+        return generate_lin(SyntheticSpec(n=n, m=m, true_k=r, noise_sigma=0.0, seed=seed))
+    while True:
+        left, right = rng.integers(-9, 10, (n, r)), rng.integers(-9, 10, (r, m))
+        if np.linalg.matrix_rank(left) == np.linalg.matrix_rank(right) == r:
+            return (left @ right).astype(np.float64)
+
+
+@st.composite
+def _gaussian_or_exact_rank(draw):
+    """(x, r): a Gaussian matrix, which may have a zero row, with r = None,
+    or an exactly rank-r matrix of one of EXACT_KINDS."""
+    seed, m = draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 12))
+    n = draw(st.integers(m, 120))
+    kind = draw(st.sampled_from(("gaussian",) + EXACT_KINDS))
+    if kind == "gaussian":
+        x = _gaussian(seed, n, m)
+        if draw(st.booleans()):
+            x[draw(st.integers(0, n - 1))] = 0.0
+        return x, None
+    r = draw(st.integers(1, m - 1))
+    return _exact_rank(kind, seed, n, m, r), r
+
+
+def _reports(x, log2_scale=0):
+    """The full_gram and per_row_sum reports of x * 2**log2_scale."""
+    y = np.ldexp(x, log2_scale)
+    (analysis,) = analyse(y, [len(y)], default_epsilon(x.shape[1]), GRAM_MODES)
+    return analysis.reports
+
+
+class TestNumericalZero:
+    """A residual energy below n*m*(u*s1)^2 is numerically zero: the
+    floored ranks are a function of the spectrum's shape, so they and
+    per_row_sum's selected k do not change when the data are scaled by a
+    power of two, and an exactly rank-r matrix floors exactly ranks r and
+    beyond, its tails there being the decomposition's rounding."""
+
+    @PROPERTY
+    @given(matrix=_gaussian_or_exact_rank(), log2_scale=st.integers(-900, 900))
+    def test_floored_is_bit_identical_under_powers_of_two(self, matrix, log2_scale):
+        x, r = matrix
+        full, rows = _reports(x)
+        scaled_full, scaled_rows = _reports(x, log2_scale)
+        assert np.array_equal(full.per_k.floored, scaled_full.per_k.floored)
+        assert np.array_equal(rows.per_k.floored, scaled_rows.per_k.floored)
+        if r is not None:
+            assert full.per_k.floored.tolist() == [k >= r for k in full.per_k.k.tolist()]
+
+    @PROPERTY
+    @given(matrix=_gaussian_or_exact_rank(), log2_scale=st.integers(-900, 900))
+    def test_full_gram_scale_identity_on_every_rank(self, matrix, log2_scale):
+        """Scaling by c = 2**j adds 2nm ln c + 2nk ln c to every rank's
+        lower total, floored ranks included, since the floor moves with s1."""
+        x, _ = matrix
+        (n, m), ln_c = x.shape, log2_scale * math.log(2.0)
+        t0, t1 = _reports(x)[0].per_k, _reports(x, log2_scale)[0].per_k
+        shift = 2 * n * m * ln_c + 2 * n * t0.k * ln_c
+        magnitude = sum(np.abs(v) for v in (t0.tail_term, t0.gram_term, t1.tail_term, t1.gram_term))
+        error = np.abs((t1.lower_total - t0.lower_total) - shift)
+        assert np.all(error <= 1e-12 * magnitude + 1e-9)
+
+    @PROPERTY
+    @given(matrix=_gaussian_or_exact_rank(), log2_scale=st.integers(-900, 900))
+    def test_per_row_sum_selection_is_unit_free(self, matrix, log2_scale):
+        x, _ = matrix
+        rows, scaled = _reports(x)[1], _reports(x, log2_scale)[1]
+        assert (rows.k_lower_opt, rows.k_upper_opt) == (scaled.k_lower_opt, scaled.k_upper_opt)
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_tall_exact_rank_floors_exactly_ranks_from_its_rank(self, kind, r):
+        """At 20000 x 3 the rounding-noise tail lies above (m*u*s1)^2, 10 to
+        380 times over these six draws, so a floor without the row count
+        would score it as signal."""
+        x = _exact_rank(kind, 3, 20000, 3, r)
+        s = singular_spectrum(x).singular_values
+        assert np.sum(s[r:] ** 2) > (3 * UNIT_ROUNDOFF * s[0]) ** 2
+        full, _ = _reports(x)
+        assert full.per_k.floored.tolist() == [k >= r for k in (1, 2)]
 
 
 @PROPERTY
