@@ -196,25 +196,28 @@ def _zero_energy(n, scaled) -> np.ndarray:
 def _log_row_energies(x) -> np.ndarray:
     """Natural log of each row's energy X_i . X_i, -inf for a zero
     row. The rows are taken a grid block at a time, so no n x m copy
-    is made: each block is copied into one row-major buffer, allocated once
-    per call, where its rows are scaled by the powers of two of
-    :func:`~mdlrank.linalg.binary_scaled`, squared and summed in place.
-    numpy sums a row in an order that depends on its memory layout, so the
-    energies do not depend on the layout of *x*. A row's value reads that
-    row alone, so those of a prefix of *x* are the first entries of those
-    of *x*."""
+    is made: each block is copied into one column-major buffer, allocated
+    once per call, where its rows are scaled by the powers of two of
+    :func:`~mdlrank.linalg.binary_scaled` in place and then summed with
+    their squares by one einsum, which needs no squared copy. Copying a
+    column-major X, as ``--synthetic`` makes, costs no transpose there, and
+    since the buffer's layout is fixed, einsum sums every row in the same
+    order, one column after the other, whatever the layout of *x*. A row's
+    value reads that row alone, so those of a prefix of *x* are the first
+    entries of those of *x*."""
     n, m = x.shape
     step = BLOCK_FACTOR * (m + 1)
-    buffer = np.empty((min(step, n), m))
+    buffer = np.empty((step, m), order="F")
     log_rows = np.empty(n)
     for start in range(0, n, step):
         block = buffer[: min(step, n - start)]
         np.copyto(block, x[start : start + step])
         exponent = np.frexp(np.maximum(block.max(axis=1), -block.min(axis=1)))[1]
         np.ldexp(block, -exponent[:, None], out=block)
-        block *= block
         with np.errstate(divide="ignore"):
-            log_rows[start : start + len(block)] = np.log(np.sum(block, axis=1)) + 2 * LN2 * exponent
+            log_rows[start : start + len(block)] = (
+                np.log(np.einsum("ij,ij->i", block, block)) + 2 * LN2 * exponent
+            )
     return log_rows
 
 

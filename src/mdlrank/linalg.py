@@ -280,12 +280,19 @@ def constant_column(f: Factor):
 def correlation_values(factors) -> np.ndarray:
     """Eigenvalues, descending, of the column correlation matrix of the
     factored rows of each :class:`Factor` of *factors*, all of one width m:
-    one row of a P x m array each, from one stacked SVD. With
-    ``[X | 1] = Q R`` and u the last column of R over its norm, the centred
-    columns are ``Q (I - u u^T) R[:, :m]``, so these are the squared
-    singular values of ``(I - u u^T) R[:, :m]`` once its columns have unit
-    norm. Raises DegenerateInputError naming the first constant column of
-    the first factor that has one (:func:`constant_column`)."""
+    one row of a P x m array each, from one stacked symmetric eigensolve.
+    With ``[X | 1] = Q R`` and u the last column of R over its norm, the
+    centred columns are ``Q (I - u u^T) R[:, :m]``, so with B that matrix
+    once its columns have unit norm, these are the eigenvalues of the
+    unit-diagonal ``B^T B``. Kaiser asks only which of them reach 1, an
+    absolute question, and a backward-stable symmetric eigensolver answers
+    it to about ``m·u·||B^T B||``, at most ``m²·u`` (Weyl's bound; Golub
+    and Van Loan, Matrix Computations, §8.1): the relative care the
+    singular spectrum needs is not needed here. A stack whose ``B^T B`` is
+    not finite, or on which the eigensolve fails, takes the squared
+    singular values of B instead, through the SVD's fallbacks. Raises
+    DegenerateInputError naming the first constant column of the first
+    factor that has one (:func:`constant_column`)."""
     constant = np.stack([f.constant for f in factors]).any(axis=1)
     if constant.any():
         raise DegenerateInputError(constant_column(factors[constant.argmax()]))
@@ -301,6 +308,12 @@ def correlation_values(factors) -> np.ndarray:
     centred = u @ (u.transpose(0, 2, 1) @ columns)
     np.subtract(columns, centred, out=centred)
     centred /= np.sqrt(np.einsum("pij,pij->pj", centred, centred))[:, None, :]
+    correlation = centred.transpose(0, 2, 1) @ centred
+    if np.isfinite(correlation).all():
+        try:
+            return np.linalg.eigvalsh(correlation)[:, ::-1].copy()
+        except np.linalg.LinAlgError:
+            pass
     return _stacked_values(centred) ** 2
 
 

@@ -502,22 +502,28 @@ class TestTwoColumns:
 
 class TestOneDecompositionPerMatrix:
     """Selection, both gram modes and the baselines read one streamed R
-    factor of [X | 1] per analysed matrix. Every SVD is values-only, of a
-    stack of at most one chunk of matrices (complexity.STACK_BYTES) with at
-    most m + 1 rows, so P prefixes take 2·⌈P/chunk⌉ of them, half for the
-    spectra and half for Kaiser. Each input row is factored at most twice,
-    once in its grid block and once in the partial block of a prefix,
-    whether it enters a Gram product (the Cholesky route these inputs
-    take) or a QR."""
+    factor of [X | 1] per analysed matrix. Per chunk of at most
+    complexity.STACK_BYTES of matrices, the spectra take one values-only
+    SVD of a stack of factors with at most m + 1 rows, and Kaiser one
+    stacked symmetric eigensolve of m x m correlation matrices, so P
+    prefixes take ⌈P/chunk⌉ of each. Each input row is factored at most
+    twice, once in its grid block and once in the partial block of a
+    prefix, whether it enters a Gram product (the Cholesky route these
+    inputs take) or a QR."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"svd": [], "rows": []}
-        real_svd, real_qr, real_dot = np.linalg.svd, np.linalg.qr, np.dot
+        calls = {"svd": [], "eigvalsh": [], "rows": []}
+        real_svd, real_eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+        real_qr, real_dot = np.linalg.qr, np.dot
 
         def svd(a, *args, **kwargs):
             calls["svd"].append((a.shape, kwargs.get("compute_uv", True)))
             return real_svd(a, *args, **kwargs)
+
+        def eigvalsh(a, *args, **kwargs):
+            calls["eigvalsh"].append(a.shape)
+            return real_eigvalsh(a, *args, **kwargs)
 
         def rows(a):
             # input rows are the ones that hold the 1 of [X | 1]; the rows
@@ -535,6 +541,7 @@ class TestOneDecompositionPerMatrix:
             return real_dot(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         monkeypatch.setattr(np.linalg, "qr", qr)
         monkeypatch.setattr(np, "dot", dot)
         return calls
@@ -543,11 +550,15 @@ class TestOneDecompositionPerMatrix:
     def _chunk(m):
         return max(1, complexity.STACK_BYTES // (8 * (m + 1) ** 2))
 
-    def _check(self, calls, m, prefixes, svds, rows):
+    def _check(self, calls, m, prefixes, svds, eigensolves, rows):
         assert len(calls["svd"]) == svds
         for shape, uv in calls["svd"]:
             assert len(shape) == 3 and not uv
             assert shape[0] <= min(prefixes, self._chunk(m)) and shape[1] <= m + 1
+        assert len(calls["eigvalsh"]) == eigensolves
+        for shape in calls["eigvalsh"]:
+            assert len(shape) == 3 and shape[0] <= min(prefixes, self._chunk(m))
+            assert shape[1] == shape[2] == m
         seen = Counter(np.concatenate(calls["rows"]).tolist())
         assert len(seen) == rows
         assert max(seen.values()) <= 2
@@ -555,7 +566,7 @@ class TestOneDecompositionPerMatrix:
     def test_select_both_gram_modes(self, calls, capsys):
         status, _, _ = _run(LIN10 + ["--both-gram-modes"], capsys)
         assert status == 0
-        self._check(calls, m=30, prefixes=1, svds=2, rows=500)
+        self._check(calls, m=30, prefixes=1, svds=1, eigensolves=1, rows=500)
 
     def test_compare_once_per_prefix(self, calls, capsys):
         status, _, _ = _run(
@@ -564,7 +575,7 @@ class TestOneDecompositionPerMatrix:
             capsys,
         )
         assert status == 0
-        self._check(calls, m=30, prefixes=3, svds=2, rows=500)
+        self._check(calls, m=30, prefixes=3, svds=1, eigensolves=1, rows=500)
 
     def test_compare_over_more_prefixes_than_one_chunk(self, calls, capsys):
         m = 150
@@ -579,14 +590,15 @@ class TestOneDecompositionPerMatrix:
             capsys,
         )
         assert status == 0, err
-        svds = 2 * math.ceil(len(lengths) / chunk)  # two chunks
-        self._check(calls, m=m, prefixes=len(lengths), svds=svds, rows=lengths[-1])
+        chunks = math.ceil(len(lengths) / chunk)  # two
+        self._check(calls, m=m, prefixes=len(lengths), svds=chunks, eigensolves=chunks,
+                    rows=lengths[-1])
 
     def test_scree(self, calls, tmp_path, capsys):
         p = _write_gaussian_csv(tmp_path / "g.csv", 1.0)
         status, _, _ = _run(["scree", "--input", str(p), "--raw"], capsys)
         assert status == 0
-        self._check(calls, m=8, prefixes=1, svds=1, rows=200)
+        self._check(calls, m=8, prefixes=1, svds=1, eigensolves=0, rows=200)
 
 
 class TestParserBuiltOnce:
@@ -1680,6 +1692,21 @@ class TestErrorTaxonomy:
         assert _run(argv + ["30,11"], capsys)[0] == 0
         status, out, err = _run(argv + ["30,10"], capsys)
         assert status == 3 and out == "" and "all-zero prefix of 10 rows has no signal to rank" in err
+
+    def test_correlation_of_a_cancelled_column(self, tmp_path, capsys, monkeypatch):
+        """Column 2 is not constant, but its centring cancels to zero in
+        the R factor: its unit column is 0/0, so B^T B is not finite. Kaiser
+        then skips the eigensolve and takes the SVD's chain to jacobi_svd,
+        which refuses the NaNs with the status and message it gave before
+        the eigensolve was added, and numpy's divide warning."""
+        p = tmp_path / "cancelled.csv"
+        p.write_text("0.3358222134630081,3.0000000000000004\n0.004818906937876815,3.000000000000001\n")
+        eigensolves, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigensolves.append(a) or real(a))
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
+            status, out, err = _run(["select", "--input", str(p), "--raw", "--no-header"], capsys)
+        assert (status, out, eigensolves) == (4, "", [])
+        assert err == "mdlrank: numerical error: matrix entries must be finite (NaN/Inf rejected)\n"
 
     def test_nonpositive_price_without_raw_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "neg.csv"

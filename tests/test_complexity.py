@@ -370,22 +370,32 @@ class TestAnalyse:
 
     def test_failed_stack_falls_back_matrix_by_matrix(self, monkeypatch):
         """When LAPACK fails on a stack, each of its matrices is taken
-        alone, with the bits of the stacked call."""
+        alone, with the bits of the stacked call; when the stacked
+        eigensolve fails too, Kaiser counts the squared singular values of
+        the same centred, unit-column factors, with the same counts."""
         x = _constant_head(WIDE_LENGTHS[-1], WIDE, WIDE_HEAD)
         want = analyse(x, WIDE_LENGTHS, default_epsilon(WIDE))
-        real, stacks = np.linalg.svd, []
+        stacks = []
 
-        def svd(a, *args, **kwargs):
-            if a.ndim == 3:
-                stacks.append(len(a))
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real(a, *args, **kwargs)
+        def failing(name, real):
+            def call(a, *args, **kwargs):
+                if a.ndim == 3:
+                    stacks.append((name, len(a)))
+                    raise np.linalg.LinAlgError(f"{name} did not converge")
+                return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+            return call
+
+        monkeypatch.setattr(np.linalg, "svd", failing("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing("eigvalsh", np.linalg.eigvalsh))
         got = analyse(x, WIDE_LENGTHS, default_epsilon(WIDE))
         # per chunk its spectra, then the correlations of its usable prefixes:
         # none in the first, all but the two with column 3 constant in the second
-        assert stacks == [CHUNK, CHUNK, CHUNK - 2, 1, 1]
+        assert stacks == [
+            ("svd", CHUNK),
+            ("svd", CHUNK), ("eigvalsh", CHUNK - 2), ("svd", CHUNK - 2),
+            ("svd", 1), ("eigvalsh", 1), ("svd", 1),
+        ]
         for mine, theirs in zip(got, want, strict=True):
             assert mine.spectrum.n == theirs.spectrum.n
             assert np.array_equal(mine.spectrum.singular_values, theirs.spectrum.singular_values)
@@ -643,3 +653,45 @@ class TestMemoryLayout:
         x = _gaussian(seed, m + extra_rows, m)
         for gram_mode in ("full_gram", "per_row_sum"):
             _assert_scores_ignore_layout(x, gram_mode)
+
+
+class TestLogRowEnergies:
+    """_log_row_energies sums each row alone, in an order fixed by its
+    buffer: the same bits for every layout of X and every prefix of it,
+    -inf for a zero row, and within the rounding of an m-term sum of a
+    math.fsum oracle at any power-of-two scale."""
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 400),
+        zero_row=st.booleans(),
+        log2_scale=st.sampled_from([-1000, 0, 1000]),
+    )
+    def test_each_row_against_an_exact_sum(self, seed, m, n, zero_row, log2_scale):
+        x = _gaussian(seed, n, m)
+        if zero_row:
+            x[seed % n] = 0.0
+        got = complexity._log_row_energies(np.ldexp(x, log2_scale))
+        for layout, copy in LAYOUTS.items():
+            assert np.array_equal(complexity._log_row_energies(copy(np.ldexp(x, log2_scale))), got), layout
+        prefix = seed % n + 1
+        assert np.array_equal(complexity._log_row_energies(np.ldexp(x[:prefix], log2_scale)), got[:prefix])
+        for row, value in zip(x, got.tolist()):
+            energy = math.fsum(float(v) * float(v) for v in row)
+            if energy == 0.0:
+                assert value == -math.inf
+                continue
+            want = math.log(energy) + 2 * log2_scale * math.log(2.0)
+            # an m-term sum of squares is within m*u relative of the exact
+            # one, and the logarithms add their own rounding
+            assert abs(value - want) <= m * UNIT_ROUNDOFF + 4 * UNIT_ROUNDOFF * max(1.0, abs(want))
+
+    def test_one_row_alone_as_in_a_block(self):
+        """A row is summed in the same order when it is a block of one, the
+        whole of X or the last row of a longer block."""
+        x = _gaussian(7, 60, 9)
+        got = complexity._log_row_energies(x)
+        for i in range(len(x)):
+            assert complexity._log_row_energies(x[i : i + 1])[0] == got[i]

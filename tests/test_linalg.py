@@ -14,6 +14,7 @@ from mdlrank import (
     truncate,
 )
 from mdlrank import linalg
+from mdlrank.baselines import kaiser
 from mdlrank.complexity import analyse, default_epsilon
 from mdlrank.linalg import (
     BLOCK_FACTOR,
@@ -24,7 +25,7 @@ from mdlrank.linalg import (
     jacobi_svd,
     prefix_factors,
 )
-from helpers import random_orthonormal, singular_values_by_gram_eig
+from helpers import kaiser_counts, random_orthonormal, singular_values_by_gram_eig
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -119,7 +120,8 @@ class TestSingularSpectrum:
             singular_spectrum(np.array([[big, 0.0], [big, 1.0]]))
 
     def test_falls_back_to_jacobi_when_lapack_fails(self, monkeypatch):
-        """Both small SVDs of the R factor fall back to one-sided Jacobi."""
+        """When the SVD and the eigensolve both fail, the singular spectrum
+        and the correlation eigenvalues are one-sided Jacobi's."""
         x = np.random.default_rng(13).standard_normal((8, 3))
         x[:, 1] *= 2.0**40
         ((factor,),) = prefix_factors(x, [8])
@@ -133,6 +135,7 @@ class TestSingularSpectrum:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         np.testing.assert_array_equal(singular_spectrum(x).singular_values, np.ldexp(spectrum, top))
         np.testing.assert_array_equal(correlation_values([factor]), [correlation])
 
@@ -193,6 +196,50 @@ class TestPrefixFactors:
         x = np.random.default_rng(18).standard_normal((50, self.M))
         with pytest.raises(DomainError, match=r"outside \[1, 50\]"):
             list(prefix_factors(x, lengths))
+
+
+def _correlation_near_one(rng, n, m, gap):
+    """n x m data whose sample correlation matrix has the eigenvalues
+    1 - gap and 1 + gap: its first two columns have correlation gap, and
+    the centred columns of the two are orthogonal to those of the rest.
+    Every column is then scaled and shifted."""
+    # orthonormal columns orthogonal to the ones: centred and uncorrelated
+    q = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, m))]))[0][:, 1:]
+    x = np.empty((n, m))
+    x[:, 0] = q[:, 0]
+    x[:, 1] = gap * q[:, 0] + np.sqrt(1.0 - gap * gap) * q[:, 1]
+    x[:, 2:] = q[:, 2:] @ rng.standard_normal((m - 2, m - 2))
+    return x * rng.uniform(0.1, 10.0, m) + rng.uniform(-5.0, 5.0, m)
+
+
+class TestCorrelationValues:
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 10),
+        planted_rows=st.integers(0, 60),
+        extra_rows=st.integers(0, 200),
+        gap=st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13]),
+        data=st.data(),
+    )
+    def test_kaiser_counts_match_the_corrcoef_oracle(
+        self, seed, m, planted_rows, extra_rows, gap, data
+    ):
+        """The Kaiser count of each drawn prefix is one np.corrcoef's
+        eigenvalues allow. The first m + 1 + planted_rows rows have two
+        correlation eigenvalues within 1e-12 of the cut at one, where the
+        oracle allows either side."""
+        rng = np.random.default_rng(seed)
+        head = m + 1 + planted_rows
+        x = np.vstack([_correlation_near_one(rng, head, m, gap),
+                       rng.standard_normal((extra_rows, m)) * 3.0])
+        lengths = data.draw(st.lists(st.integers(m + 1, len(x)), min_size=1, max_size=6)) + [head]
+        for chunk in prefix_factors(x, lengths):
+            counts = kaiser(correlation_values(chunk))
+            for factor, count in zip(chunk, counts, strict=True):
+                assert count in kaiser_counts(x[: factor.n]), factor.n
+        planted = np.linalg.eigvalsh(np.corrcoef(x[:head], rowvar=False))
+        assert np.count_nonzero(np.abs(planted - 1.0) <= 1e-12) >= 2
 
 
 class TestGramRoute:
