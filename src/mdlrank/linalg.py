@@ -257,11 +257,21 @@ def factor_spectrum(factors) -> Spectrum:
     put back relative to its largest before the SVD and that one after it,
     so no entry overflows. Finite entries can still have a largest singular
     value beyond the float64 range (about 1.8e308); that is a DomainError,
-    decided from the binary exponents before any value is formed."""
+    decided from the binary exponents before any value is formed.
+
+    Each R's columns are put in order of decreasing norm before the SVD,
+    which leaves its singular values as they are: LAPACK's SVD of a
+    column-graded R is accurate only relative to σ1, and of the sorted one
+    to about ``u·κ(R_eq)`` relative, R_eq the R with unit columns, the
+    accuracy a column-pivoted QR would give it (Drmač & Veselić, SIAM J.
+    Matrix Anal. Appl. 29(4), 2008; Demmel et al., Linear Algebra Appl.
+    299, 1999)."""
     exponents = np.stack([f.exponent for f in factors])
     tops = exponents.max(axis=1)
     r = np.stack([f.r[:-1, :-1] for f in factors])
-    values = _stacked_values(np.ldexp(r, (exponents - tops[:, None])[:, None, :], out=r))
+    np.ldexp(r, (exponents - tops[:, None])[:, None, :], out=r)
+    order = np.argsort(-np.linalg.norm(r, axis=1), axis=1, kind="stable")
+    values = _stacked_values(np.take_along_axis(r, order[:, None, :], axis=2))
     if (np.frexp(values[:, 0])[1] + tops > 1024).any():
         raise DomainError(
             "the largest singular value is beyond the float64 range (about 1.8e308); "

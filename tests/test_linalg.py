@@ -126,7 +126,11 @@ class TestSingularSpectrum:
         x[:, 1] *= 2.0**40
         ((factor,),) = prefix_factors(x, [8])
         top = factor.exponent.max()
-        spectrum = jacobi_svd(np.ldexp(factor.r[:-1, :-1], factor.exponent - top)).singular_values
+        scaled = np.ldexp(factor.r[:-1, :-1], factor.exponent - top)
+        # factor_spectrum sorts R's columns by decreasing norm before the SVD
+        order = np.argsort(-np.linalg.norm(scaled, axis=0), kind="stable")
+        assert order.tolist() != sorted(order.tolist())
+        spectrum = jacobi_svd(scaled[:, order]).singular_values
         u = factor.r[:, -1:] / np.linalg.norm(factor.r[:, -1])
         centred = factor.r[:, :-1] - u @ (u.T @ factor.r[:, :-1])
         correlation = jacobi_svd(centred / np.linalg.norm(centred, axis=0)).singular_values ** 2
@@ -293,7 +297,7 @@ class TestGramRoute:
         m=st.integers(3, 8),
         extra_rows=st.integers(2, 120),
         log_condition=st.floats(0.0, 12.0),
-        exponents=st.lists(st.integers(-8, 8), min_size=8, max_size=8),
+        exponents=st.lists(st.integers(-200, 200), min_size=8, max_size=8),
         mean=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
         mean_column=st.integers(0, 2),
     )
@@ -304,9 +308,9 @@ class TestGramRoute:
         by powers of two and by other factors, and a column whose mean is
         up to 1e6 times its spread. The Gram route runs exactly when the
         least eigenvalue of R_eq^T R_eq clears the gate's δ, and then
-        m u κ(R_eq)^2 <= GRAM_TAU. The scalings stay within 2**±8: once
-        the column norms alone span 1/u, the small singular values are
-        rounding noise on either route."""
+        m u κ(R_eq)^2 <= GRAM_TAU. The column scalings span up to 2**400:
+        factor_spectrum sorts R's columns by norm, so its small singular
+        values keep relative accuracy on either route however graded R is."""
         rng = np.random.default_rng(seed)
         n = m + extra_rows
         s = np.logspace(0.0, -log_condition, m)
@@ -323,6 +327,26 @@ class TestGramRoute:
         if gram:
             values = np.linalg.svd(r_eq, compute_uv=False)
             assert m * UNIT_ROUNDOFF * (values[0] / values[-1]) ** 2 <= GRAM_TAU
+
+    def test_graded_columns_to_relative_accuracy(self):
+        """A 7 x 5 matrix with a log-spaced spectrum from 1 to 10**-1.375
+        and one column scaled by 2**54, which the gate admits: with R's
+        columns sorted by norm, every singular value from either route's R
+        is within 1e-13 relative of a 60-digit SVD's (LAPACK's SVD of the
+        unsorted R was off by up to 1.5), and both select k = 1."""
+        from mpmath import mp, matrix, svd_r
+
+        rng = np.random.default_rng(0)
+        x = (random_orthonormal(rng, 7, 5) * np.logspace(0.0, -1.375, 5)) @ random_orthonormal(rng, 5).T
+        x = np.ldexp(x * rng.uniform(0.1, 10.0, 5), [0, 0, 0, 54, 0])
+        with mp.workdps(60):
+            exact = sorted((float(v) for v in svd_r(matrix(x.tolist()), compute_uv=False)), reverse=True)
+        (gram,), routes = self._gated(x)
+        assert routes == [True]
+        for factor in (gram, self._folded(x)):
+            values = factor_spectrum([factor]).singular_values[0]
+            np.testing.assert_allclose(values, exact, rtol=1e-13, atol=0)
+        assert self._selection(x, linalg._gram_factor)[:2] == self._selection(x, self._refused)[:2] == (1, 1)
 
     @pytest.mark.parametrize("column", ["constant", "zero", "collinear", "near-ones"])
     def test_degenerate_columns_take_the_folds(self, column):
