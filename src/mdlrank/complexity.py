@@ -196,15 +196,17 @@ def _zero_energy(n, scaled) -> np.ndarray:
 def _log_row_energies(x) -> np.ndarray:
     """Natural log of each row's energy X_i . X_i, -inf for a zero
     row. The rows are taken a grid block at a time, so no n x m copy
-    is made: each block is copied into one column-major buffer, allocated
-    once per call, where its rows are scaled by the powers of two of
-    :func:`~mdlrank.linalg.binary_scaled` in place and then summed with
-    their squares by one einsum, which needs no squared copy. Copying a
-    column-major X, as ``--synthetic`` makes, costs no transpose there, and
-    since the buffer's layout is fixed, einsum sums every row in the same
-    order, one column after the other, whatever the layout of *x*. A row's
-    value reads that row alone, so those of a prefix of *x* are the first
-    entries of those of *x*."""
+    is made: each block is copied into one column-major buffer of a whole
+    block's shape, allocated once per call, where its rows are scaled by
+    the powers of two of :func:`~mdlrank.linalg.binary_scaled` in place and
+    then summed with their squares by one einsum, which needs no squared
+    copy. Copying a column-major X, as ``--synthetic`` makes, costs no
+    transpose there. Since the buffer's layout and strides are fixed,
+    einsum sums every row in the same order, one column after the other,
+    whatever the layout of *x* or the length of the block: a buffer of one
+    contiguous row would be summed in another order. A row's value reads
+    that row alone, so those of a prefix of *x* are the first entries of
+    those of *x*."""
     n, m = x.shape
     step = BLOCK_FACTOR * (m + 1)
     buffer = np.empty((step, m), order="F")

@@ -321,7 +321,7 @@ def correlation_values(factors) -> np.ndarray:
     correlation = centred.transpose(0, 2, 1) @ centred
     if np.isfinite(correlation).all():
         try:
-            return np.linalg.eigvalsh(correlation)[:, ::-1].copy()
+            return np.linalg.eigvalsh(correlation)[:, ::-1]
         except np.linalg.LinAlgError:
             pass
     return _stacked_values(centred) ** 2

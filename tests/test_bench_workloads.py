@@ -38,3 +38,15 @@ def test_workload_report_passes_the_benchmark_check(bench_run, tmp_path, workloa
     payload = json.loads(out.read_text(encoding="utf-8"))
     for matrix, index in cases:
         bench_run.check_report(payload if index is None else payload[index], matrix, gram_modes)
+
+
+@pytest.mark.parametrize("workload", ["csv_prices", "spectral_synthetic", "rolling_compare"])
+def test_workload_reports_repeat_byte_for_byte(bench_run, tmp_path, workload):
+    """The benchmark's worker counts an operation whose report differs from
+    the warm-up's as failed, so two runs of one --reproducible operation
+    in one process must write the same bytes."""
+    argv, _, _ = bench_run.make_workload(workload, 1, "tiny", tmp_path)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(argv + ["--out", str(first)]) == 0
+    assert main(argv + ["--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
