@@ -248,8 +248,9 @@ def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: 
     (:func:`~mdlrank.linalg.as_matrix`), whose row count is in *lengths*,
     in ascending order of length. The streamed R factors are taken in
     chunks of at most STACK_BYTES, and of each chunk only the singular
-    values and the correlation eigenvalues, or why a prefix has none, are
-    kept, each from one stacked SVD. All prefixes are scored in one pass
+    values, from one stacked SVD, and the correlation eigenvalues, from one
+    stacked eigensolve, or why a prefix has none, are kept. All prefixes
+    are scored in one pass
     per gram mode, and then the baselines are taken: ``kaiser`` and the
     ``kneedle`` knee at *sensitivity*. One that cannot use the input
     (Kaiser on a constant column, a scree too short to bend) is None, its
