@@ -348,6 +348,37 @@ class TestGramRoute:
             np.testing.assert_allclose(values, exact, rtol=1e-13, atol=0)
         assert self._selection(x, linalg._gram_factor)[:2] == self._selection(x, self._refused)[:2] == (1, 1)
 
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 6),
+        extra_rows=st.integers(0, 20),
+        log_condition=st.floats(0.0, 4.0),
+        exponents=st.lists(st.integers(-150, 150), min_size=6, max_size=6),
+    )
+    def test_graded_spectra_to_relative_accuracy(self, seed, m, extra_rows, log_condition, exponents):
+        """Log-spaced spectra of condition number 1 to 1e4 with columns
+        scaled by up to 2**±150, so that the column norms alone span far
+        more than 1/u: every singular value factor_spectrum takes of the
+        folds' R is within 64·m·u·κ(R_eq) relative of a 200-digit SVD's,
+        and of the Gram route's R within 64·m·u·κ(R_eq)², the error the
+        gate bounds (κ(R_eq) that of X with unit columns)."""
+        from mpmath import mp, matrix, svd_r
+
+        rng = np.random.default_rng(seed)
+        n = m + extra_rows
+        s = np.logspace(0.0, -log_condition, m)
+        x = (random_orthonormal(rng, n, m) * s) @ random_orthonormal(rng, m).T
+        x = np.ldexp(x * rng.uniform(0.1, 10.0, m), exponents[:m])
+        with mp.workdps(200):
+            exact = sorted((float(v) for v in svd_r(matrix(x.tolist()), compute_uv=False)), reverse=True)
+        kappa = np.linalg.cond(x / np.linalg.norm(x, axis=0))
+        (gram,), _ = self._gated(x)
+        for factor, power in ((gram, 2), (self._folded(x), 1)):
+            values = factor_spectrum([factor]).singular_values[0]
+            rtol = 64 * m * UNIT_ROUNDOFF * kappa**power
+            np.testing.assert_allclose(values, exact, rtol=rtol, atol=0)
+
     @pytest.mark.parametrize("column", ["constant", "zero", "collinear", "near-ones"])
     def test_degenerate_columns_take_the_folds(self, column):
         x = np.random.default_rng(19).standard_normal((50, 4))
