@@ -1,6 +1,7 @@
 """Classical component-count selectors: the Kaiser rule on the column
-correlation eigenvalues (:func:`mdlrank.linalg.correlation_values`) and
-knee detection on scree curves."""
+correlation eigenvalues that :func:`mdlrank.linalg.correlation_values`
+gives a prefix whose columns can all be standardized, and knee detection
+on scree curves."""
 
 import numpy as np
 

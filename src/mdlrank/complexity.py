@@ -32,8 +32,8 @@ import numpy as np
 
 from .baselines import kaiser, kneedle, scree
 from .errors import DegenerateInputError, DomainError
-from .linalg import (BLOCK_FACTOR, STACK_BYTES, UNIT_ROUNDOFF, Spectrum, as_matrix, binary_scaled,
-                     constant_column, correlation_values, factor_spectrum, prefix_factors)
+from .linalg import (BLOCK_FACTOR, UNIT_ROUNDOFF, Spectrum, as_matrix, binary_scaled, correlation_values,
+                     factor_spectrum, prefix_factors)
 from .quantization import validate_epsilon
 
 LN2 = math.log(2.0)
@@ -246,32 +246,29 @@ def _log_grams(spectra: Spectrum, gram_mode: str, x) -> np.ndarray:
 def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: float = 1.0) -> list:
     """The :class:`Analysis` of each prefix of *a*, a checked matrix
     (:func:`~mdlrank.linalg.as_matrix`), whose row count is in *lengths*,
-    in ascending order of length. The streamed R factors are taken in
-    chunks of at most STACK_BYTES, and of each chunk only the singular
-    values, from one stacked SVD, and the correlation eigenvalues, from one
-    stacked eigensolve, or why a prefix has none, are kept. All prefixes
-    are scored in one pass
-    per gram mode, and then the baselines are taken: ``kaiser`` and the
-    ``kneedle`` knee at *sensitivity*. One that cannot use the input
-    (Kaiser on a constant column, a scree too short to bend) is None, its
-    reason under ``skipped``, since the selection does not depend on it.
-    Every gram mode is checked before a row is factored, and ties break
-    toward the smallest k.
+    in ascending order of length. The streamed R factors come in chunks
+    (:func:`~mdlrank.linalg.prefix_factors`), and of each chunk only the
+    singular values, from one stacked SVD, and the Kaiser count of each
+    prefix's correlation eigenvalues, or why it has none
+    (:func:`~mdlrank.linalg.correlation_values`), are kept. All prefixes
+    are scored in one pass per gram mode, and then the knees are taken at
+    *sensitivity*. A baseline that cannot use the input is None, its reason
+    under ``skipped``, since the selection does not depend on it. Every
+    gram mode is checked before a row is factored, and ties break toward
+    the smallest k.
     """
     for mode in gram_modes:
         if mode not in GRAM_MODES:
             raise DomainError(f"gram_mode must be one of {GRAM_MODES}, got {mode!r}")
-    ns, values, counts, reasons = [], [], [], []
+    ns, values, kaisers = [], [], []
     for chunk in prefix_factors(a, lengths):
         spectra = factor_spectrum(chunk)
         ns += spectra.n
         values.append(spectra.singular_values)
-        constant = np.stack([f.constant for f in chunk]).any(axis=1).tolist()
-        why = [constant_column(f) if c else None for f, c in zip(chunk, constant)]
-        usable = [f for f, reason in zip(chunk, why) if not reason]
-        kept = iter(kaiser(correlation_values(usable)) if usable else ())
-        counts += [None if reason else next(kept) for reason in why]
-        reasons += why
+        correlations = correlation_values(chunk)
+        eigenvalues = [c for c in correlations if not isinstance(c, str)]
+        counts = iter(kaiser(eigenvalues) if eigenvalues else ())
+        kaisers += [(None, c) if isinstance(c, str) else (next(counts), None) for c in correlations]
     stack = Spectrum(n=ns, singular_values=np.concatenate(values))
     # a spectrum is all-zero only if its rows are, so those prefixes come first
     zeros = np.count_nonzero(~stack.singular_values.any(axis=1))
@@ -293,8 +290,8 @@ def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: 
     except DegenerateInputError as exc:
         knees, knee_reason = [None] * len(ns), str(exc)
     analyses = []
-    rows = zip(ns, stack.singular_values, counts, reasons, knees, *selections)
-    for n, row, count, reason, knee, *reports in rows:
+    rows = zip(ns, stack.singular_values, kaisers, knees, *selections)
+    for n, row, (count, reason), knee, *reports in rows:
         baselines = {"kaiser": count, "kneedle": knee}
         skipped = {name: why for name, why in (("kaiser", reason), ("kneedle", knee_reason)) if why}
         if skipped:

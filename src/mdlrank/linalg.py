@@ -12,7 +12,7 @@ allocated and safe to share across threads.
 import numpy as np
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DegenerateInputError, DomainError
+from .errors import ConvergenceError, DomainError
 
 JACOBI_MAX_SWEEPS = 100
 # rows of one grid block of the streamed R factor, per column of [X | 1]
@@ -196,29 +196,21 @@ def _gram_factor(grams):
     or exactly collinear column, or a column near the span of the ones
     (whose centring for Kaiser cancels), fails the gate.
 
-    Both Choleskys take the whole stack in one LAPACK call each, which
-    factors every Gram as a call of its own would. If either fails on
-    some Gram, each Gram is gated again alone."""
+    Both Choleskys take the whole stack through :func:`_stacked`, and a
+    Gram on which either fails alone fails the gate."""
     m = grams.shape[-1] - 1
-    shifted = grams.copy()
-    shifted[:, range(m + 1), range(m + 1)] *= 1 - (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
 
-    def gate(part):
-        # each R of the Grams grams[part], or None where it is not finite;
-        # None if either Cholesky fails on any of them
-        try:
-            np.linalg.cholesky(shifted[part])
-            lower = np.linalg.cholesky(grams[part])
-        except np.linalg.LinAlgError:
-            return None
-        return [tri.T if np.isfinite(tri).all() else None for tri in lower]
+    def pair(g):
+        # the real Cholesky of g, once the shifted one has succeeded
+        shifted = g.copy()
+        shifted[..., range(m + 1), range(m + 1)] *= 1 - (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
+        np.linalg.cholesky(shifted)
+        return np.linalg.cholesky(g)
 
-    factors = gate(slice(None))
-    if factors is None:  # some Gram fails: gate each alone
-        factors = []
-        for p in range(len(grams)):
-            factors += gate(slice(p, p + 1)) or [None]
-    return factors
+    return [
+        None if lower is None or not np.isfinite(lower).all() else lower.T
+        for lower in _stacked(pair, grams, lambda gram: None)
+    ]
 
 
 def _fold(r, exponent, rows, peak):
@@ -237,16 +229,26 @@ def _fold(r, exponent, rows, peak):
     return np.linalg.qr(stacked, mode="r"), new
 
 
-def _stacked_values(stack):
-    """Values-only SVD of a matrix, or of each matrix of a stack, in one
-    LAPACK call. If it fails to converge, a stack is taken matrix by matrix
-    and a matrix by one-sided Jacobi rotations."""
+def _stacked(call, stack, fallback):
+    """*call* on the whole *stack* of matrices, in one LAPACK call that
+    treats each matrix as a call on it alone would. If LAPACK fails on the
+    stack, the list of *call* on each matrix alone, which gives the bits
+    the stacked call would, or *fallback* on a matrix that fails again."""
+
+    def alone(matrix):
+        try:
+            return call(matrix)
+        except np.linalg.LinAlgError:
+            return fallback(matrix)
+
     try:
-        return np.linalg.svd(stack, compute_uv=False)
+        return call(stack)
     except np.linalg.LinAlgError:
-        if stack.ndim == 2:
-            return jacobi_svd(stack).singular_values
-        return np.array([_stacked_values(a) for a in stack])
+        return [alone(matrix) for matrix in stack]
+
+
+def _jacobi_values(matrix):
+    return jacobi_svd(matrix).singular_values
 
 
 def factor_spectrum(factors) -> Spectrum:
@@ -271,7 +273,8 @@ def factor_spectrum(factors) -> Spectrum:
     r = np.stack([f.r[:-1, :-1] for f in factors])
     np.ldexp(r, (exponents - tops[:, None])[:, None, :], out=r)
     order = np.argsort(-np.linalg.norm(r, axis=1), axis=1, kind="stable")
-    values = _stacked_values(np.take_along_axis(r, order[:, None, :], axis=2))
+    sorted_r = np.take_along_axis(r, order[:, None, :], axis=2)
+    values = np.asarray(_stacked(lambda a: np.linalg.svd(a, compute_uv=False), sorted_r, _jacobi_values))
     if (np.frexp(values[:, 0])[1] + tops > 1024).any():
         raise DomainError(
             "the largest singular value is beyond the float64 range (about 1.8e308); "
@@ -280,32 +283,22 @@ def factor_spectrum(factors) -> Spectrum:
     return Spectrum(n=[f.n for f in factors], singular_values=np.ldexp(values, tops[:, None]))
 
 
-def constant_column(f: Factor):
-    """Why the columns of the factored rows cannot be standardized: the
-    first of them that is constant, or None if none is."""
-    flat = np.flatnonzero(f.constant)
-    return f"column {flat[0] + 1} is constant and cannot be standardized" if flat.size else None
-
-
-def correlation_values(factors) -> np.ndarray:
-    """Eigenvalues, descending, of the column correlation matrix of the
-    factored rows of each :class:`Factor` of *factors*, all of one width m:
-    one row of a P x m array each, from one stacked symmetric eigensolve.
-    With ``[X | 1] = Q R`` and u the last column of R over its norm, the
-    centred columns are ``Q (I - u u^T) R[:, :m]``, so with B that matrix
-    once its columns have unit norm, these are the eigenvalues of the
-    unit-diagonal ``B^T B``. Kaiser asks only which of them reach 1, an
-    absolute question, and a backward-stable symmetric eigensolver answers
-    it to about ``m·u·||B^T B||``, at most ``m²·u`` (Weyl's bound; Golub
-    and Van Loan, Matrix Computations, §8.1): the relative care the
-    singular spectrum needs is not needed here. A stack whose ``B^T B`` is
-    not finite, or on which the eigensolve fails, takes the squared
-    singular values of B instead, through the SVD's fallbacks. Raises
-    DegenerateInputError naming the first constant column of the first
-    factor that has one (:func:`constant_column`)."""
-    constant = np.stack([f.constant for f in factors]).any(axis=1)
-    if constant.any():
-        raise DegenerateInputError(constant_column(factors[constant.argmax()]))
+def correlation_values(factors) -> list:
+    """For each :class:`Factor` of *factors*, all of one width m, the
+    eigenvalues, descending, of the column correlation matrix of its
+    factored rows, from one stacked symmetric eigensolve, or why it has
+    none: its first constant column, else its first column whose centred
+    norm is exactly zero, cannot be standardized. With ``[X | 1] = Q R``
+    and u the last column of R over its norm, the centred columns are
+    ``Q (I - u u^T) R[:, :m]``, so with B that matrix once its columns have
+    unit norm, these are the eigenvalues of the finite, unit-diagonal
+    ``B^T B``. Kaiser asks only which of them reach 1, an absolute
+    question, and a backward-stable symmetric eigensolver answers it to
+    about ``m·u·||B^T B||``, at most ``m²·u`` (Weyl's bound; Golub and Van
+    Loan, Matrix Computations, §8.1): the relative care the singular
+    spectrum needs is not needed here. ``B^T B`` is symmetric positive
+    semidefinite, so where the eigensolve fails (:func:`_stacked`) its
+    singular values from :func:`jacobi_svd` are its eigenvalues."""
     # every R column-major, whatever its route made it: numpy's products can
     # round differently in another layout, and a prefix's values must not
     # depend on its route's layout or on the other factors of the stack
@@ -314,17 +307,23 @@ def correlation_values(factors) -> np.ndarray:
     ones, columns = r[:, :, -1:], r[:, :, :-1]
     u = ones / np.sqrt(ones.transpose(0, 2, 1) @ ones)
     # centred, and scaled by einsum's column norms, in the projection's buffer
-    # and with no squared copy: no more stack-sized temporaries
+    # and with no squared copy; the R stack is let go before the correlations
+    # of the usable factors are copied out, so no more stack-sized temporaries
     centred = u @ (u.transpose(0, 2, 1) @ columns)
     np.subtract(columns, centred, out=centred)
-    centred /= np.sqrt(np.einsum("pij,pij->pj", centred, centred))[:, None, :]
-    correlation = centred.transpose(0, 2, 1) @ centred
-    if np.isfinite(correlation).all():
-        try:
-            return np.linalg.eigvalsh(correlation)[:, ::-1]
-        except np.linalg.LinAlgError:
-            pass
-    return _stacked_values(centred) ** 2
+    del r, ones, columns
+    norms = np.sqrt(np.einsum("pij,pij->pj", centred, centred))[:, None, :]
+    np.divide(centred, norms, out=centred, where=norms > 0.0)
+    constant, cancelled = np.stack([f.constant for f in factors]), norms[:, 0] == 0.0
+    usable = ~(constant | cancelled).any(axis=1)
+    stack = (centred.transpose(0, 2, 1) @ centred)[usable]
+    values = iter(_stacked(lambda c: np.linalg.eigvalsh(c)[..., ::-1], stack, _jacobi_values) if usable.any() else ())
+    return [
+        next(values) if ok
+        else f"column {c.argmax() + 1} is constant and cannot be standardized" if c.any()
+        else f"column {z.argmax() + 1} is zero once centred and cannot be standardized"
+        for ok, c, z in zip(usable, constant, cancelled)
+    ]
 
 
 def singular_spectrum(x) -> Spectrum:
@@ -361,7 +360,8 @@ def svd(x) -> SvdResult:
 
 def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
     """One-sided Jacobi SVD, the cross-check for :func:`svd` and the
-    fallback of both small SVDs when LAPACK fails to converge.
+    fallback of its LAPACK call and of the stacked spectra and correlation
+    eigensolves (:func:`_stacked`).
 
     Rotates the column pairs of a copy of *x*, scaled by the power of two
     of :func:`binary_scaled`, until every pair is orthogonal to working

@@ -54,10 +54,10 @@ class TestKaiser:
 
 def correlation_eigenvalues(x):
     """Ascending correlation eigenvalues of all rows of *x*, read from the
-    R factor of the streamed pass."""
+    R factor of the streamed pass, or why there are none."""
     (factors,) = prefix_factors(x, [len(x)])
     (values,) = correlation_values(factors)
-    return values[::-1]
+    return values if isinstance(values, str) else values[::-1]
 
 
 class TestCorrelationEigenvalues:
@@ -74,16 +74,14 @@ class TestCorrelationEigenvalues:
         x = np.ones((5, 3))
         x[:, 0] = np.arange(5)
         x[:, 2] = np.arange(5) ** 2
-        with pytest.raises(DegenerateInputError, match="column 2"):
-            correlation_eigenvalues(x)
+        assert correlation_eigenvalues(x) == "column 2 is constant and cannot be standardized"
 
     def test_column_of_one_inexact_value_is_constant(self):
         # 0.7 has no exact binary form, so the computed standard deviation
         # of this column is rounding noise rather than zero
         x = np.random.default_rng(63).standard_normal((500, 8))
         x[:, 3] = 0.7
-        with pytest.raises(DegenerateInputError, match="column 4 is constant"):
-            correlation_eigenvalues(x)
+        assert correlation_eigenvalues(x) == "column 4 is constant and cannot be standardized"
 
     @PROPERTY
     @given(

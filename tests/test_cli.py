@@ -503,7 +503,7 @@ class TestTwoColumns:
 class TestOneDecompositionPerMatrix:
     """Selection, both gram modes and the baselines read one streamed R
     factor of [X | 1] per analysed matrix. Per chunk of at most
-    complexity.STACK_BYTES of matrices, the spectra take one values-only
+    linalg.STACK_BYTES of matrices, the spectra take one values-only
     SVD of a stack of factors with at most m + 1 rows, and Kaiser one
     stacked symmetric eigensolve of m x m correlation matrices, so P
     prefixes take ⌈P/chunk⌉ of each. Each input row is factored at most
@@ -548,7 +548,7 @@ class TestOneDecompositionPerMatrix:
 
     @staticmethod
     def _chunk(m):
-        return max(1, complexity.STACK_BYTES // (8 * (m + 1) ** 2))
+        return max(1, linalg.STACK_BYTES // (8 * (m + 1) ** 2))
 
     def _check(self, calls, m, prefixes, svds, eigensolves, rows):
         assert len(calls["svd"]) == svds
@@ -1013,6 +1013,53 @@ class TestCompareEqualsSelect:
             assert status == 0
             report["input"]["path"] = str(prefix)
             assert json.dumps(report, indent=2) + "\n" == expected
+
+    def test_failed_stacked_cholesky_gates_each_gram_alone(self, tmp_path, capsys, monkeypatch):
+        """When the Cholesky fails on every stack of Grams, each Gram is
+        gated alone: over three chunks, the prefixes whose first two
+        columns are equal but for 1e-9 still take the folds, the others
+        the Gram route, each with the bits of R it gets unmocked, and the
+        report is the same."""
+        m = 60
+        rng = np.random.default_rng(27)
+        y = rng.standard_normal((400, m))
+        y[:100, 1] = y[:100, 0] + 1e-9 * rng.standard_normal(100)
+        path = tmp_path / "x.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in y))
+        lengths = list(range(m, 401, 10))
+        assert len(lengths) > 2 * max(1, linalg.STACK_BYTES // (8 * (m + 1) ** 2))
+        argv = ["compare", "--input", str(path), "--raw", "--no-header", "--reproducible",
+                "--lengths", ",".join(map(str, lengths))]
+        real_gate, real_cholesky = linalg._gram_factor, np.linalg.cholesky
+
+        def run():
+            factors = []
+
+            def recording(grams):
+                factors.extend(real_gate(grams))
+                return factors[-len(grams):]
+
+            monkeypatch.setattr(linalg, "_gram_factor", recording)
+            status, out, err = _run(argv, capsys)
+            assert (status, err) == (0, "")
+            return factors, out
+
+        want, expected = run()
+        stacks = []
+
+        def cholesky(a, *args, **kwargs):
+            if a.ndim == 3:
+                stacks.append(len(a))
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real_cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        got, out = run()
+        assert len(stacks) == 3 and sum(stacks) == len(lengths)
+        assert [r is None for r in want] == [n <= 100 for n in lengths]
+        assert [r is None for r in got] == [r is None for r in want]
+        assert all(r is None or np.array_equal(r, own) for r, own in zip(got, want, strict=True))
+        assert out == expected
 
     def test_both_gram_modes(self, tmp_path, capsys):
         """With both gram modes, the per_row_sum block of each element, whose
@@ -1695,18 +1742,23 @@ class TestErrorTaxonomy:
 
     def test_correlation_of_a_cancelled_column(self, tmp_path, capsys, monkeypatch):
         """Column 2 is not constant, but its centring cancels to zero in
-        the R factor: its unit column is 0/0, so B^T B is not finite. Kaiser
-        then skips the eigensolve and takes the SVD's chain to jacobi_svd,
-        which refuses the NaNs with the status and message it gave before
-        the eigensolve was added, and numpy's divide warning."""
+        the R factor, so it cannot be standardized: Kaiser is skipped with
+        that reason and no eigensolve, with no warning, and the selection
+        still runs."""
         p = tmp_path / "cancelled.csv"
         p.write_text("0.3358222134630081,3.0000000000000004\n0.004818906937876815,3.000000000000001\n")
         eigensolves, real = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigensolves.append(a) or real(a))
-        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             status, out, err = _run(["select", "--input", str(p), "--raw", "--no-header"], capsys)
-        assert (status, out, eigensolves) == (4, "", [])
-        assert err == "mdlrank: numerical error: matrix entries must be finite (NaN/Inf rejected)\n"
+        assert (status, err, eigensolves) == (0, "", [])
+        report = json.loads(out)
+        assert report["baselines"]["kaiser"] is None
+        assert report["baselines"]["skipped"]["kaiser"] == (
+            "column 2 is zero once centred and cannot be standardized"
+        )
+        assert report["k_bracket"] == [1, 1]
 
     def test_nonpositive_price_without_raw_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "neg.csv"

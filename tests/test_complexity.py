@@ -18,7 +18,7 @@ from mdlrank import (
     svd,
     tail_energy,
 )
-from mdlrank import complexity, quantized_unitary_log_count_bound
+from mdlrank import complexity, linalg, quantized_unitary_log_count_bound
 from mdlrank.complexity import GRAM_MODES, ScoreTable, _gap_ratio, regression_nml, score_stack
 from mdlrank.linalg import UNIT_ROUNDOFF
 from helpers import planted_rank_matrix
@@ -329,7 +329,7 @@ def _constant_head(rows, m, head):
 # a width at which analyse stacks a few prefixes per SVD call, and prefix
 # lengths that fill two of those chunks and start a third
 WIDE = 100
-CHUNK = max(1, complexity.STACK_BYTES // (8 * (WIDE + 1) ** 2))
+CHUNK = max(1, linalg.STACK_BYTES // (8 * (WIDE + 1) ** 2))
 WIDE_LENGTHS = list(range(WIDE, WIDE + 2 * CHUNK + 1))
 # column 3 is constant up to the second prefix of the second chunk
 WIDE_HEAD = WIDE_LENGTHS[CHUNK + 1]
@@ -369,10 +369,10 @@ class TestAnalyse:
                 _assert_same_report(mine, theirs)
 
     def test_failed_stack_falls_back_matrix_by_matrix(self, monkeypatch):
-        """When LAPACK fails on a stack, each of its matrices is taken
-        alone, with the bits of the stacked call; when the stacked
-        eigensolve fails too, Kaiser counts the squared singular values of
-        the same centred, unit-column factors, with the same counts."""
+        """When LAPACK fails on a stack, the values-only SVD of the spectra
+        and the eigensolve of the correlations alike take each of its
+        matrices alone, with the bits of the stacked call, so the reports
+        and the baselines are the same."""
         x = _constant_head(WIDE_LENGTHS[-1], WIDE, WIDE_HEAD)
         want = analyse(x, WIDE_LENGTHS, default_epsilon(WIDE))
         stacks = []
@@ -391,11 +391,7 @@ class TestAnalyse:
         got = analyse(x, WIDE_LENGTHS, default_epsilon(WIDE))
         # per chunk its spectra, then the correlations of its usable prefixes:
         # none in the first, all but the two with column 3 constant in the second
-        assert stacks == [
-            ("svd", CHUNK),
-            ("svd", CHUNK), ("eigvalsh", CHUNK - 2), ("svd", CHUNK - 2),
-            ("svd", 1), ("eigvalsh", 1), ("svd", 1),
-        ]
+        assert stacks == [("svd", CHUNK), ("svd", CHUNK), ("eigvalsh", CHUNK - 2), ("svd", 1), ("eigvalsh", 1)]
         for mine, theirs in zip(got, want, strict=True):
             assert mine.spectrum.n == theirs.spectrum.n
             assert np.array_equal(mine.spectrum.singular_values, theirs.spectrum.singular_values)

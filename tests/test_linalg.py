@@ -121,7 +121,8 @@ class TestSingularSpectrum:
 
     def test_falls_back_to_jacobi_when_lapack_fails(self, monkeypatch):
         """When the SVD and the eigensolve both fail, the singular spectrum
-        and the correlation eigenvalues are one-sided Jacobi's."""
+        is one-sided Jacobi's, and the correlation eigenvalues are the
+        singular values Jacobi finds of the positive semidefinite B^T B."""
         x = np.random.default_rng(13).standard_normal((8, 3))
         x[:, 1] *= 2.0**40
         ((factor,),) = prefix_factors(x, [8])
@@ -133,7 +134,8 @@ class TestSingularSpectrum:
         spectrum = jacobi_svd(scaled[:, order]).singular_values
         u = factor.r[:, -1:] / np.linalg.norm(factor.r[:, -1])
         centred = factor.r[:, :-1] - u @ (u.T @ factor.r[:, :-1])
-        correlation = jacobi_svd(centred / np.linalg.norm(centred, axis=0)).singular_values ** 2
+        b = centred / np.linalg.norm(centred, axis=0)
+        correlation = jacobi_svd(b.T @ b).singular_values
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -141,7 +143,8 @@ class TestSingularSpectrum:
         monkeypatch.setattr(np.linalg, "svd", failing)
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         np.testing.assert_array_equal(singular_spectrum(x).singular_values, np.ldexp(spectrum, top))
-        np.testing.assert_array_equal(correlation_values([factor]), [correlation])
+        (values,) = correlation_values([factor])
+        np.testing.assert_array_equal(values, correlation)
 
 
 class TestPrefixFactors:

@@ -4,7 +4,8 @@ the names README lists as the package root's exports are exactly
 option, the version and schema version it states are the ones the code
 reports, every warning the suite fails on is named, and the schema pins
 the schema version, gram modes and per-k columns the code writes. The CLI
-imports nothing from ``linalg``, as the module list in README says."""
+imports nothing from ``linalg``, as the module list in README says, and no
+module imports a name it does not use."""
 
 import argparse
 import ast
@@ -56,6 +57,24 @@ def test_cli_imports_nothing_from_linalg():
     }
     sources |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     assert not sources & {".linalg", "mdlrank.linalg"}, sorted(sources)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "mdlrank").glob("*.py") if p.name != "__init__.py")
+)
+def test_every_imported_name_is_used(module):
+    """A name a module imports is read somewhere in its code, not only in
+    a docstring: the package root's ``__init__`` re-exports, so it is left
+    out."""
+    tree = ast.parse((ROOT / "src" / "mdlrank" / module).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, sorted(imported - used)
 
 
 def test_pyproject_version_is_the_package_version():
