@@ -23,8 +23,9 @@ GRAM_TAU = 1e-5
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # bytes of the (m + 1) x (m + 1) float64 Grams and R factors taken into one
 # stacked LAPACK call: 38 prefixes at m = 40, one at m = 300. Twice as many
-# saved 1% of the time of a 300-prefix compare and added 1.1 MB, 3%, to its
-# peak resident memory
+# saved no time on a 300-prefix compare at m = 40 (its median op was 4-5%
+# slower over 30 and 40 interleaved in-process ops) and raised its traced
+# peak from 3.2 to 5.1 MB; its peak resident memory stayed at 51.6 MB
 STACK_BYTES = 2**19
 
 
@@ -87,12 +88,25 @@ class Factor(NamedTuple):
     constant: np.ndarray
 
 
+class Chunk(list):
+    """The :class:`Factor` of each prefix of one chunk of
+    :func:`prefix_factors`, in ascending order of n. Their fields are views
+    of one stack each, which :func:`factor_spectrum` and
+    :func:`correlation_values` take as they are: ``lower``, each R
+    transposed and C-ordered, the layout the Cholesky gives, and the P x m
+    ``exponents`` and ``constants``."""
+
+    def __init__(self, n, lower, exponents, constants):
+        super().__init__(map(Factor, n, lower.transpose(0, 2, 1), exponents, constants))
+        self.lower, self.exponents, self.constants = lower, exponents, constants
+
+
 def prefix_factors(a, lengths):
     """Yield the :class:`Factor` of the prefix of *a*, a checked matrix
     (:func:`as_matrix`), for each length of ``sorted(set(lengths))``, in
-    lists of at most ``STACK_BYTES`` of R factors; no length, or one outside
-    [1, n], is a :class:`DomainError`, and so is a shortest prefix with
-    fewer rows than columns.
+    :class:`Chunk` lists of at most ``STACK_BYTES`` of R factors; no length,
+    or one outside [1, n], is a :class:`DomainError`, and so is a shortest
+    prefix with fewer rows than columns.
 
     Rows enter one block of ``BLOCK_FACTOR * (m + 1)`` rows at a time, on a
     grid counted from the first row, and a prefix adds its rows past its
@@ -101,14 +115,22 @@ def prefix_factors(a, lengths):
     far. The blocks are summed into the Gram of the scaled ``[X | 1]``,
     and a prefix's R is the Cholesky factor of its Gram when
     :func:`_gram_factor`'s conditioning gate holds, taken for the Grams of
-    a whole list at once. Otherwise it is folded from the same blocks by
+    a whole chunk at once. Otherwise it is folded from the same blocks by
     Householder QR, a stream advanced only for the prefixes that need it.
     Either way a prefix's R is a function of its own rows, and P prefixes
     of n rows cost O(n m^2 + P m^3): half the flops of the folds on the
-    Gram route, which a well-conditioned input never leaves. Every column
+    Gram route, which a well-conditioned input never leaves.
+
+    A chunk's bookkeeping is done in stacks, not prefix by prefix: its
+    prefixes' column extremes are read off one running minimum and one
+    running maximum over the rows of each block that holds an end past the
+    grid, their exponents come from one ``frexp`` of the P x m peaks, and the running Grams at their last whole
+    blocks are moved onto them by one broadcast ``ldexp``. Each prefix then
+    adds the Gram product of its own rows past its last whole block, and
+    its R takes its Gram's place in the chunk's one stack. Every column
     exponent stays in the int32 (``np.intc``) that ``np.frexp`` gives, on
     both routes: numpy's ``ldexp`` loop for int64 exponents is several
-    times slower, and it would rescale every running Gram.
+    times slower.
     """
     ends = sorted(set(lengths))
     n, m = a.shape
@@ -130,31 +152,49 @@ def prefix_factors(a, lengths):
     fold, fold_exponent, folded = np.zeros((0, m + 1)), exponent, 0
     size = max(1, STACK_BYTES // (8 * (m + 1) ** 2))
     for first in range(0, len(ends), size):
-        chunk = ends[first : first + size]
-        grams, prefixes = np.empty((len(chunk), m + 1, m + 1)), []
-        for i, end in enumerate(chunk):
-            whole = end // step
+        chunk = np.array(ends[first : first + size])
+        wholes = chunk // step
+        levels, starts, level = np.unique(wholes, return_index=True, return_inverse=True)
+        # per last whole block: the running Gram and its exponents there, and
+        # the extremes of the block's rows up to each end in it past the grid,
+        # one reduceat segment from each end to the next, on top of those of
+        # the whole blocks
+        running = np.empty((len(levels), m + 1, m + 1))
+        running_exponent = np.empty((len(levels), m), dtype=np.intc)
+        low, high = lows[wholes], highs[wholes]
+        for j, (whole, start, stop) in enumerate(zip(levels.tolist(), starts.tolist(),
+                                                     [*starts[1:].tolist(), len(chunk)])):
             for b in range(summed, whole):
                 gram, exponent = _gram(gram, exponent, blocks[b], peaks[b + 1])
             summed = whole
-            part = a[whole * step : end]
-            low = np.minimum(lows[whole], part.min(axis=0, initial=np.inf))
-            high = np.maximum(highs[whole], part.max(axis=0, initial=-np.inf))
-            peak = np.maximum(high, -low)
-            own, own_exponent = _gram(gram, exponent, part, peak) if len(part) else (gram, exponent)
-            grams[i] = own
-            prefixes.append((end, whole, part, peak, own_exponent, low == high))
-        gated = _gram_factor(grams)
-        del grams  # not held while the chunk is taken up
-        factors = []
-        for (end, whole, part, peak, own_exponent, constant), r in zip(prefixes, gated):
+            running[j], running_exponent[j] = gram, exponent
+            parted = slice(start + int(chunk[start] == whole * step), stop)
+            if parted.start < stop:
+                rows = a[whole * step : chunk[stop - 1]]
+                cuts = np.append(0, chunk[parted.start : stop - 1] - whole * step)
+                for extreme, reached in ((np.minimum, low), (np.maximum, high)):
+                    extreme(reached[parted], extreme.accumulate(extreme.reduceat(rows, cuts)), out=reached[parted])
+        peak = np.maximum(high, -low)
+        new = np.frexp(peak)[1]
+        shift = np.zeros((len(chunk), m + 1), dtype=np.intc)
+        np.subtract(running_exponent[level], new, out=shift[:, :-1])
+        grams = running[level]
+        np.ldexp(grams, shift[:, :, None] + shift[:, None, :], out=grams)
+        for i, (end, whole) in enumerate(zip(chunk.tolist(), wholes.tolist())):
+            if end > whole * step:
+                grams[i] += _scaled_gram(a[whole * step : end], new[i])
+        # each R, transposed, takes its Gram's place
+        for i, r in enumerate(_gram_factor(grams)):
             if r is None:
+                whole, end = int(wholes[i]), int(chunk[i])
                 for b in range(folded, whole):
                     fold, fold_exponent = _fold(fold, fold_exponent, blocks[b], peaks[b + 1])
                 folded = whole
-                r = _fold(fold, fold_exponent, part, peak)[0] if len(part) else fold
-            factors.append(Factor(end, r, own_exponent, constant))
-        yield factors
+                part = a[whole * step : end]
+                r = _fold(fold, fold_exponent, part, peak[i])[0] if len(part) else fold
+            grams[i] = r.T
+        del r  # the Cholesky's own stack is not held while the chunk is taken up
+        yield Chunk(chunk.tolist(), grams, new, low == high)
 
 
 def _gram(g, exponent, rows, peak):
@@ -168,10 +208,17 @@ def _gram(g, exponent, rows, peak):
     shift = np.append(exponent - new, np.intc(0))
     if shift.any():
         g = np.ldexp(g, shift[:, None] + shift)
-    stacked = np.empty((len(rows), len(new) + 1), order="F")
-    np.ldexp(rows, -new, out=stacked[:, :-1])
+    return g + _scaled_gram(rows, new), new
+
+
+def _scaled_gram(rows, exponent):
+    """The Gram of ``[rows | 1]`` with the columns of *rows* scaled by
+    ``2**-exponent``, taken on a fresh column-major copy: on a strided view
+    of a shared buffer, numpy's product can round otherwise."""
+    stacked = np.empty((len(rows), len(exponent) + 1), order="F")
+    np.ldexp(rows, -exponent, out=stacked[:, :-1])
     stacked[:, -1] = 1.0
-    return g + np.dot(stacked.T, stacked), new
+    return np.dot(stacked.T, stacked)
 
 
 def _gram_factor(grams):
@@ -197,7 +244,9 @@ def _gram_factor(grams):
     (whose centring for Kaiser cancels), fails the gate.
 
     Both Choleskys take the whole stack through :func:`_stacked`, and a
-    Gram on which either fails alone fails the gate."""
+    Gram on which either fails alone gets a NaN factor; one finiteness
+    check over the stack then fails every Gram whose factor is not
+    finite."""
     m = grams.shape[-1] - 1
 
     def pair(g):
@@ -207,10 +256,9 @@ def _gram_factor(grams):
         np.linalg.cholesky(shifted)
         return np.linalg.cholesky(g)
 
-    return [
-        None if lower is None or not np.isfinite(lower).all() else lower.T
-        for lower in _stacked(pair, grams, lambda gram: None)
-    ]
+    lowers = _stacked(pair, grams, lambda gram: np.full_like(gram, np.nan))
+    finite = np.isfinite(lowers).all(axis=(1, 2))
+    return [lower.T if ok else None for lower, ok in zip(lowers, finite.tolist())]
 
 
 def _fold(r, exponent, rows, peak):
@@ -248,18 +296,36 @@ def _stacked(call, stack, fallback):
 
 
 def _jacobi_values(matrix):
-    return jacobi_svd(matrix).singular_values
+    # C-ordered whatever its stack's layout: Jacobi's column products can
+    # round otherwise in another layout
+    return jacobi_svd(np.ascontiguousarray(matrix)).singular_values
+
+
+def _stacks(factors):
+    """The R factors of *factors*, each transposed and C-ordered, their
+    column exponents and their constant flags, one stack each: a
+    :class:`Chunk`'s own, else stacked here. Every R is in the one layout
+    whatever its route made it: numpy's products and sums can round
+    otherwise in another layout, and a prefix's values must not depend on
+    its route or on the other factors of the stack."""
+    if isinstance(factors, Chunk):
+        return factors.lower, factors.exponents, factors.constants
+    size = len(factors[0].r)
+    lower = np.stack([f.r.T for f in factors], out=np.empty((len(factors), size, size)))
+    return lower, np.stack([f.exponent for f in factors]), np.stack([f.constant for f in factors])
 
 
 def factor_spectrum(factors) -> Spectrum:
     """Singular values of the factored rows of X of each :class:`Factor` of
     *factors*, all of one width m: a stack, whose ``n`` lists their row
     counts and whose P x m ``singular_values`` are those of each
-    ``R[:m, :m]``, taken in one stacked SVD. Each R's column exponents are
-    put back relative to its largest before the SVD and that one after it,
-    so no entry overflows. Finite entries can still have a largest singular
-    value beyond the float64 range (about 1.8e308); that is a DomainError,
-    decided from the binary exponents before any value is formed.
+    ``R[:m, :m]``, taken in one stacked SVD of the R stack
+    (:func:`_stacks`; a :class:`Chunk`'s own, not copied). Each R's column
+    exponents are put back relative to its largest before the SVD and that
+    one after it, so no entry overflows. Finite entries can still have a
+    largest singular value beyond the float64 range (about 1.8e308); that
+    is a DomainError, decided from the binary exponents before any value is
+    formed.
 
     Each R's columns are put in order of decreasing norm before the SVD,
     which leaves its singular values as they are: LAPACK's SVD of a
@@ -267,14 +333,17 @@ def factor_spectrum(factors) -> Spectrum:
     to about ``u·κ(R_eq)`` relative, R_eq the R with unit columns, the
     accuracy a column-pivoted QR would give it (Drmač & Veselić, SIAM J.
     Matrix Anal. Appl. 29(4), 2008; Demmel et al., Linear Algebra Appl.
-    299, 1999)."""
-    exponents = np.stack([f.exponent for f in factors])
+    299, 1999). R's columns are the rows of the transposed stack, so one
+    take of rows sorts them all."""
+    lower, exponents, _ = _stacks(factors)
     tops = exponents.max(axis=1)
-    r = np.stack([f.r[:-1, :-1] for f in factors])
-    np.ldexp(r, (exponents - tops[:, None])[:, None, :], out=r)
-    order = np.argsort(-np.linalg.norm(r, axis=1), axis=1, kind="stable")
-    sorted_r = np.take_along_axis(r, order[:, None, :], axis=2)
-    values = np.asarray(_stacked(lambda a: np.linalg.svd(a, compute_uv=False), sorted_r, _jacobi_values))
+    # R[:m, :m] transposed and scaled: row j is R's column j
+    columns = np.ldexp(lower[:, :-1, :-1], (exponents - tops[:, None])[:, :, None])
+    p, m = exponents.shape
+    order = np.argsort(-np.linalg.norm(columns, axis=2), axis=1, kind="stable")
+    rows = columns.reshape(p * m, m)[order + m * np.arange(p)[:, None]]
+    values = np.asarray(_stacked(lambda a: np.linalg.svd(a, compute_uv=False), rows.transpose(0, 2, 1),
+                                 _jacobi_values))
     if (np.frexp(values[:, 0])[1] + tops > 1024).any():
         raise DomainError(
             "the largest singular value is beyond the float64 range (about 1.8e308); "
@@ -286,7 +355,8 @@ def factor_spectrum(factors) -> Spectrum:
 def correlation_values(factors) -> list:
     """For each :class:`Factor` of *factors*, all of one width m, the
     eigenvalues, descending, of the column correlation matrix of its
-    factored rows, from one stacked symmetric eigensolve, or why it has
+    factored rows, from one stacked symmetric eigensolve over the R stack
+    (:func:`_stacks`; a :class:`Chunk`'s own, not copied), or why it has
     none: its first constant column, else its first column whose centred
     norm is exactly zero, cannot be standardized. With ``[X | 1] = Q R``
     and u the last column of R over its norm, the centred columns are
@@ -299,24 +369,22 @@ def correlation_values(factors) -> list:
     spectrum needs is not needed here. ``B^T B`` is symmetric positive
     semidefinite, so where the eigensolve fails (:func:`_stacked`) its
     singular values from :func:`jacobi_svd` are its eigenvalues."""
-    # every R column-major, whatever its route made it: numpy's products can
-    # round differently in another layout, and a prefix's values must not
-    # depend on its route's layout or on the other factors of the stack
-    size = len(factors[0].r)
-    r = np.stack([f.r.T for f in factors], out=np.empty((len(factors), size, size))).transpose(0, 2, 1)
+    lower, _, constant = _stacks(factors)
+    r = lower.transpose(0, 2, 1)
     ones, columns = r[:, :, -1:], r[:, :, :-1]
     u = ones / np.sqrt(ones.transpose(0, 2, 1) @ ones)
     # centred, and scaled by einsum's column norms, in the projection's buffer
-    # and with no squared copy; the R stack is let go before the correlations
-    # of the usable factors are copied out, so no more stack-sized temporaries
+    # and with no squared copy; it is let go before the correlations of the
+    # usable factors are copied out, so no more stack-sized temporaries
     centred = u @ (u.transpose(0, 2, 1) @ columns)
     np.subtract(columns, centred, out=centred)
-    del r, ones, columns
     norms = np.sqrt(np.einsum("pij,pij->pj", centred, centred))[:, None, :]
     np.divide(centred, norms, out=centred, where=norms > 0.0)
-    constant, cancelled = np.stack([f.constant for f in factors]), norms[:, 0] == 0.0
+    cancelled = norms[:, 0] == 0.0
     usable = ~(constant | cancelled).any(axis=1)
-    stack = (centred.transpose(0, 2, 1) @ centred)[usable]
+    stack = centred.transpose(0, 2, 1) @ centred
+    del centred
+    stack = stack[usable]
     values = iter(_stacked(lambda c: np.linalg.eigvalsh(c)[..., ::-1], stack, _jacobi_values) if usable.any() else ())
     return [
         next(values) if ok

@@ -1014,6 +1014,55 @@ class TestCompareEqualsSelect:
             report["input"]["path"] = str(prefix)
             assert json.dumps(report, indent=2) + "\n" == expected
 
+    def test_a_non_finite_factor_folds_its_prefix_alone(self, tmp_path, capsys, monkeypatch):
+        """When the real Cholesky of one Gram of a chunk's stack comes back
+        holding a NaN, the one finiteness check over the stack folds that
+        prefix alone and its chunk mates keep the Gram route. Under the
+        same Cholesky, each element is still its prefix's select report,
+        byte for byte."""
+        rng = np.random.default_rng(29)
+        y = rng.standard_normal((self.N, self.M))
+        lines = [",".join(repr(float(v)) for v in row) + "\n" for row in y]
+        path = tmp_path / "x.csv"
+        path.write_text("".join(lines))
+        lengths = [2 * self.M, self.STEP - 1, self.STEP, 29, 31, 2 * self.STEP + 1, self.N]
+        target = 29
+        routes, real_gate, real_cholesky = [], linalg._gram_factor, np.linalg.cholesky
+
+        def recording(grams):
+            factors = real_gate(grams)
+            routes.append(["gram" if r is not None else "fold" for r in factors])
+            return factors
+
+        def cholesky(a, *args, **kwargs):
+            lower = real_cholesky(a, *args, **kwargs)
+            # a Gram's last diagonal entry counts its rows, the shifted Gram's
+            # does not: only the target's real factor gets the NaN
+            lower[a[..., -1, -1] == target, -1, -1] = np.nan
+            return lower
+
+        monkeypatch.setattr(linalg, "_gram_factor", recording)
+        flags = ["--raw", "--no-header", "--reproducible"]
+        argv = ["compare", "--input", str(path), "--lengths", ",".join(map(str, lengths))] + flags
+        status, _, err = _run(argv, capsys)
+        assert (status, err) == (0, "")
+        assert routes == [["gram"] * len(lengths)]
+        routes.clear()
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        status, out, err = _run(argv, capsys)
+        assert (status, err) == (0, "")
+        assert routes == [["fold" if n == target else "gram" for n in lengths]]
+        for length, report in zip(lengths, json.loads(out), strict=True):
+            assert report.pop("length") == length
+            prefix = tmp_path / f"prefix{length}.csv"
+            prefix.write_text("".join(lines[:length]))
+            routes.clear()
+            status, expected, _ = _run(["select", "--input", str(prefix)] + flags, capsys)
+            assert status == 0
+            assert routes == [["fold" if length == target else "gram"]]
+            report["input"]["path"] = str(prefix)
+            assert json.dumps(report, indent=2) + "\n" == expected
+
     def test_failed_stacked_cholesky_gates_each_gram_alone(self, tmp_path, capsys, monkeypatch):
         """When the Cholesky fails on every stack of Grams, each Gram is
         gated alone: over three chunks, the prefixes whose first two

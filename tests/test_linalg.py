@@ -186,6 +186,61 @@ class TestPrefixFactors:
             assert np.array_equal(correlations[p], correlation_values(own)[0])
             assert np.array_equal(factor.constant, own[0].constant)
 
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 5),
+        per_chunk=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_each_prefix_of_many_chunks_equals_its_own_pass(self, seed, m, per_chunk, data):
+        """With STACK_BYTES holding one to three factors, so that the drawn
+        lengths span several chunks: several ends in one block, ends on the
+        block grid, a length of m, and rows past a prefix's last whole block
+        that raise a column's binary exponent, the row at an end or the one
+        after it. Column 0 may be constant over a head, so that chunks mix
+        both routes. Every Factor, spectrum and correlation is bit for bit
+        that of the prefix's own single-length pass, also when the chunk's
+        factors are handed over as a plain list."""
+        step = BLOCK_FACTOR * (m + 1)
+        blocks = data.draw(st.integers(1, 4), label="blocks")
+        n = blocks * step + data.draw(st.integers(0, step - 1), label="extra rows")
+        block = data.draw(st.integers(0, blocks), label="shared block")
+        shared = [e for e in data.draw(st.lists(st.integers(1, step - 1), min_size=2, max_size=5))
+                  if m <= block * step + e <= n]
+        lengths = sorted({m, *(block * step + e for e in shared),
+                          *(g * step for g in data.draw(st.lists(st.integers(1, blocks), min_size=1))),
+                          *data.draw(st.lists(st.integers(m, n), max_size=6), label="more")})
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, m))
+        for end in data.draw(st.lists(st.sampled_from(lengths), max_size=4), label="raised ends"):
+            row = min(end - 1 + data.draw(st.integers(0, 1), label="past the end"), n - 1)
+            x[row, data.draw(st.integers(0, m - 1), label="column")] *= 2.0 ** data.draw(st.integers(1, 60))
+        x[: data.draw(st.integers(0, n), label="constant head"), 0] = 0.375
+        chunk_bytes = per_chunk * 8 * (m + 1) ** 2
+        with mock.patch.object(linalg, "STACK_BYTES", chunk_bytes):
+            chunks = list(prefix_factors(x, lengths))
+        assert [len(c) for c in chunks] == [len(lengths[i : i + per_chunk]) for i in range(0, len(lengths), per_chunk)]
+
+        def bits(a):
+            return a.dtype, a.shape, a.tobytes()
+
+        for chunk in chunks:
+            spectra, correlations = factor_spectrum(chunk), correlation_values(chunk)
+            listed = factor_spectrum(list(chunk)), correlation_values(list(chunk))
+            assert bits(listed[0].singular_values) == bits(spectra.singular_values)
+            for p, factor in enumerate(chunk):
+                ((own,),) = prefix_factors(x[: factor.n], [factor.n])
+                assert factor.n == own.n
+                for field in ("r", "exponent", "constant"):
+                    assert bits(getattr(factor, field)) == bits(getattr(own, field)), (factor.n, field)
+                assert spectra.n[p] == factor.n
+                assert bits(spectra.singular_values[p]) == bits(factor_spectrum([own]).singular_values[0])
+                (alone,) = correlation_values([own])
+                for got in (correlations[p], listed[1][p]):
+                    assert type(got) is type(alone)
+                    assert got == alone if isinstance(alone, str) else bits(got) == bits(alone)
+
     def test_constant_columns_per_prefix(self):
         x = np.random.default_rng(17).standard_normal((60, self.M))
         x[:30, 2] = 0.7  # constant over the first 30 rows only
