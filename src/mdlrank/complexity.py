@@ -265,10 +265,10 @@ def analyse(a, lengths, epsilon: float, gram_modes=("full_gram",), sensitivity: 
         spectra = factor_spectrum(chunk)
         ns += spectra.n
         values.append(spectra.singular_values)
-        correlations = correlation_values(chunk)
-        eigenvalues = [c for c in correlations if not isinstance(c, str)]
-        counts = iter(kaiser(eigenvalues) if eigenvalues else ())
-        kaisers += [(None, c) if isinstance(c, str) else (next(counts), None) for c in correlations]
+        correlations, reasons = correlation_values(chunk)
+        counts = np.full(len(reasons), None)
+        counts[[why is None for why in reasons]] = kaiser(correlations)
+        kaisers += zip(counts.tolist(), reasons)
     stack = Spectrum(n=ns, singular_values=np.concatenate(values))
     # a spectrum is all-zero only if its rows are, so those prefixes come first
     zeros = np.count_nonzero(~stack.singular_values.any(axis=1))

@@ -27,6 +27,10 @@ UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # slower over 30 and 40 interleaved in-process ops) and raised its traced
 # peak from 3.2 to 5.1 MB; its peak resident memory stayed at 51.6 MB
 STACK_BYTES = 2**19
+# the spread of a prefix's nonzero R column norms beyond which LAPACK's SVD
+# of its norm-sorted R is not relatively accurate (see factor_spectrum), and
+# one-sided Jacobi gives its singular values
+GRADED_SPREAD = 2**10
 
 
 def as_matrix(x) -> np.ndarray:
@@ -75,36 +79,29 @@ def _require_tall(a, what):
         )
 
 
-class Factor(NamedTuple):
-    """The R factor of ``[X | 1]`` over the first n rows of X: ``r`` is
-    (m + 1) x (m + 1), its column j from X's column j scaled by
-    ``2**-exponent[j]`` and its last from the ones; ``constant[j]`` says
-    whether column j's n entries are all equal. The ones come last so that
-    ``R[:m, :m]`` is the R factor of X alone, untouched by their rounding."""
+class Chunk(NamedTuple):
+    """The R factors of ``[X | 1]`` over the first n rows of X for each n of
+    ``n``, ascending, one stack each: ``lower`` is the P x (m + 1) x (m + 1)
+    stack of each R transposed and C-ordered, the layout the Cholesky
+    gives, ``exponents`` the P x m ``np.intc`` column exponents and
+    ``constants`` the P x m flags of the columns whose n entries are all
+    equal. Column j of a prefix's R is from X's column j scaled by
+    ``2**-exponents[p, j]`` and its last from the ones. The ones come last
+    so that ``R[:m, :m]`` is the R factor of X alone, untouched by their
+    rounding. Every R is in the one layout whatever its route made it:
+    numpy's products and sums can round otherwise in another layout, and a
+    prefix's values must not depend on its route or on its chunk mates."""
 
-    n: int
-    r: np.ndarray
-    exponent: np.ndarray
-    constant: np.ndarray
-
-
-class Chunk(list):
-    """The :class:`Factor` of each prefix of one chunk of
-    :func:`prefix_factors`, in ascending order of n. Their fields are views
-    of one stack each, which :func:`factor_spectrum` and
-    :func:`correlation_values` take as they are: ``lower``, each R
-    transposed and C-ordered, the layout the Cholesky gives, and the P x m
-    ``exponents`` and ``constants``."""
-
-    def __init__(self, n, lower, exponents, constants):
-        super().__init__(map(Factor, n, lower.transpose(0, 2, 1), exponents, constants))
-        self.lower, self.exponents, self.constants = lower, exponents, constants
+    n: list
+    lower: np.ndarray
+    exponents: np.ndarray
+    constants: np.ndarray
 
 
 def prefix_factors(a, lengths):
-    """Yield the :class:`Factor` of the prefix of *a*, a checked matrix
+    """Yield the R factor of the prefix of *a*, a checked matrix
     (:func:`as_matrix`), for each length of ``sorted(set(lengths))``, in
-    :class:`Chunk` lists of at most ``STACK_BYTES`` of R factors; no length,
+    :class:`Chunk` stacks of at most ``STACK_BYTES`` of R factors; no length,
     or one outside [1, n], is a :class:`DomainError`, and so is a shortest
     prefix with fewer rows than columns.
 
@@ -301,65 +298,61 @@ def _jacobi_values(matrix):
     return jacobi_svd(np.ascontiguousarray(matrix)).singular_values
 
 
-def _stacks(factors):
-    """The R factors of *factors*, each transposed and C-ordered, their
-    column exponents and their constant flags, one stack each: a
-    :class:`Chunk`'s own, else stacked here. Every R is in the one layout
-    whatever its route made it: numpy's products and sums can round
-    otherwise in another layout, and a prefix's values must not depend on
-    its route or on the other factors of the stack."""
-    if isinstance(factors, Chunk):
-        return factors.lower, factors.exponents, factors.constants
-    size = len(factors[0].r)
-    lower = np.stack([f.r.T for f in factors], out=np.empty((len(factors), size, size)))
-    return lower, np.stack([f.exponent for f in factors]), np.stack([f.constant for f in factors])
-
-
-def factor_spectrum(factors) -> Spectrum:
-    """Singular values of the factored rows of X of each :class:`Factor` of
-    *factors*, all of one width m: a stack, whose ``n`` lists their row
-    counts and whose P x m ``singular_values`` are those of each
-    ``R[:m, :m]``, taken in one stacked SVD of the R stack
-    (:func:`_stacks`; a :class:`Chunk`'s own, not copied). Each R's column
-    exponents are put back relative to its largest before the SVD and that
-    one after it, so no entry overflows. Finite entries can still have a
-    largest singular value beyond the float64 range (about 1.8e308); that
-    is a DomainError, decided from the binary exponents before any value is
-    formed.
+def factor_spectrum(chunk) -> Spectrum:
+    """Singular values of the factored rows of X of each prefix of the
+    :class:`Chunk` *chunk*: a stack, whose ``n`` lists their row counts and
+    whose P x m ``singular_values`` are those of each ``R[:m, :m]``, taken
+    in one stacked SVD of the chunk's own R stack, not copied. Each R's
+    column exponents are put back relative to its largest before the SVD
+    and that one after it, so no entry overflows. Finite entries can still
+    have a largest singular value beyond the float64 range (about
+    1.8e308); that is a DomainError, decided from the binary exponents
+    before any value is formed.
 
     Each R's columns are put in order of decreasing norm before the SVD,
-    which leaves its singular values as they are: LAPACK's SVD of a
+    which leaves its singular values as they are. LAPACK's SVD of a
     column-graded R is accurate only relative to σ1, and of the sorted one
-    to about ``u·κ(R_eq)`` relative, R_eq the R with unit columns, the
-    accuracy a column-pivoted QR would give it (Drmač & Veselić, SIAM J.
-    Matrix Anal. Appl. 29(4), 2008; Demmel et al., Linear Algebra Appl.
-    299, 1999). R's columns are the rows of the transposed stack, so one
-    take of rows sorts them all."""
-    lower, exponents, _ = _stacks(factors)
+    to about ``u·κ(R_eq)`` relative, R_eq the R with unit columns, while
+    its column norms spread by at most ``GRADED_SPREAD``: over 4000 graded
+    draws of widths 3 to 6, within ``13·m·u·κ(R_eq)`` (``κ(R_eq)²`` on the
+    Gram route) below a spread of 2**12, and up to 5e6 times that at
+    spreads of 2**12 to 2**34. A prefix whose nonzero column norms spread
+    further takes :func:`jacobi_svd`'s values of its sorted R, as LAPACK's
+    fallback does, relatively accurate under any column scaling. R's
+    columns are the rows of the transposed stack, so one take of rows
+    sorts them all."""
+    exponents = chunk.exponents
     tops = exponents.max(axis=1)
     # R[:m, :m] transposed and scaled: row j is R's column j
-    columns = np.ldexp(lower[:, :-1, :-1], (exponents - tops[:, None])[:, :, None])
+    columns = np.ldexp(chunk.lower[:, :-1, :-1], (exponents - tops[:, None])[:, :, None])
     p, m = exponents.shape
-    order = np.argsort(-np.linalg.norm(columns, axis=2), axis=1, kind="stable")
+    norms = np.linalg.norm(columns, axis=2)
+    order = np.argsort(-norms, axis=1, kind="stable")
     rows = columns.reshape(p * m, m)[order + m * np.arange(p)[:, None]]
     values = np.asarray(_stacked(lambda a: np.linalg.svd(a, compute_uv=False), rows.transpose(0, 2, 1),
                                  _jacobi_values))
+    graded = norms.max(axis=1) > GRADED_SPREAD * norms.min(axis=1, where=norms > 0.0, initial=np.inf)
+    for i in np.flatnonzero(graded).tolist():
+        values[i] = _jacobi_values(rows[i].T)
     if (np.frexp(values[:, 0])[1] + tops > 1024).any():
         raise DomainError(
             "the largest singular value is beyond the float64 range (about 1.8e308); "
             "rescale the data"
         )
-    return Spectrum(n=[f.n for f in factors], singular_values=np.ldexp(values, tops[:, None]))
+    return Spectrum(n=chunk.n, singular_values=np.ldexp(values, tops[:, None]))
 
 
-def correlation_values(factors) -> list:
-    """For each :class:`Factor` of *factors*, all of one width m, the
-    eigenvalues, descending, of the column correlation matrix of its
-    factored rows, from one stacked symmetric eigensolve over the R stack
-    (:func:`_stacks`; a :class:`Chunk`'s own, not copied), or why it has
-    none: its first constant column, else its first column whose centred
-    norm is exactly zero, cannot be standardized. With ``[X | 1] = Q R``
-    and u the last column of R over its norm, the centred columns are
+def correlation_values(chunk) -> tuple:
+    """The correlation eigenvalues of the prefixes of the :class:`Chunk`
+    *chunk* that have them, and per prefix why it has none, as the pair
+    ``(values, reasons)``. ``values`` is U x m, one row per usable prefix
+    in order, the eigenvalues, descending, of the column correlation
+    matrix of its factored rows, from one stacked symmetric eigensolve over
+    the chunk's own R stack; it is 0 x m when no prefix is usable.
+    ``reasons`` holds, per prefix, None or why it is not usable: its first
+    constant column, else its first column whose centred norm is exactly
+    zero, cannot be standardized. With ``[X | 1] = Q R`` and u the last
+    column of R over its norm, the centred columns are
     ``Q (I - u u^T) R[:, :m]``, so with B that matrix once its columns have
     unit norm, these are the eigenvalues of the finite, unit-diagonal
     ``B^T B``. Kaiser asks only which of them reach 1, an absolute
@@ -369,13 +362,13 @@ def correlation_values(factors) -> list:
     spectrum needs is not needed here. ``B^T B`` is symmetric positive
     semidefinite, so where the eigensolve fails (:func:`_stacked`) its
     singular values from :func:`jacobi_svd` are its eigenvalues."""
-    lower, _, constant = _stacks(factors)
-    r = lower.transpose(0, 2, 1)
+    constant = chunk.constants
+    r = chunk.lower.transpose(0, 2, 1)
     ones, columns = r[:, :, -1:], r[:, :, :-1]
     u = ones / np.sqrt(ones.transpose(0, 2, 1) @ ones)
     # centred, and scaled by einsum's column norms, in the projection's buffer
     # and with no squared copy; it is let go before the correlations of the
-    # usable factors are copied out, so no more stack-sized temporaries
+    # usable prefixes are copied out, so no more stack-sized temporaries
     centred = u @ (u.transpose(0, 2, 1) @ columns)
     np.subtract(columns, centred, out=centred)
     norms = np.sqrt(np.einsum("pij,pij->pj", centred, centred))[:, None, :]
@@ -385,13 +378,15 @@ def correlation_values(factors) -> list:
     stack = centred.transpose(0, 2, 1) @ centred
     del centred
     stack = stack[usable]
-    values = iter(_stacked(lambda c: np.linalg.eigvalsh(c)[..., ::-1], stack, _jacobi_values) if usable.any() else ())
-    return [
-        next(values) if ok
+    values = (np.asarray(_stacked(lambda c: np.linalg.eigvalsh(c)[..., ::-1], stack, _jacobi_values))
+              if usable.any() else np.empty(stack.shape[:2]))
+    reasons = [
+        None if ok
         else f"column {c.argmax() + 1} is constant and cannot be standardized" if c.any()
         else f"column {z.argmax() + 1} is zero once centred and cannot be standardized"
-        for ok, c, z in zip(usable, constant, cancelled)
+        for ok, c, z in zip(usable.tolist(), constant, cancelled)
     ]
+    return values, reasons
 
 
 def singular_spectrum(x) -> Spectrum:
@@ -403,8 +398,8 @@ def singular_spectrum(x) -> Spectrum:
     if the LAPACK driver fails to converge, as :func:`svd` does.
     """
     a = as_matrix(x)
-    (factors,) = prefix_factors(a, [a.shape[0]])
-    stack = factor_spectrum(factors)
+    (chunk,) = prefix_factors(a, [a.shape[0]])
+    stack = factor_spectrum(chunk)
     return Spectrum(n=stack.n[0], singular_values=stack.singular_values[0])
 
 
@@ -427,9 +422,10 @@ def svd(x) -> SvdResult:
 
 
 def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
-    """One-sided Jacobi SVD, the cross-check for :func:`svd` and the
+    """One-sided Jacobi SVD, the cross-check for :func:`svd`, the
     fallback of its LAPACK call and of the stacked spectra and correlation
-    eigensolves (:func:`_stacked`).
+    eigensolves (:func:`_stacked`), and the spectrum of a graded R
+    (:func:`factor_spectrum`).
 
     Rotates the column pairs of a copy of *x*, scaled by the power of two
     of :func:`binary_scaled`, until every pair is orthogonal to working

@@ -55,9 +55,9 @@ class TestKaiser:
 def correlation_eigenvalues(x):
     """Ascending correlation eigenvalues of all rows of *x*, read from the
     R factor of the streamed pass, or why there are none."""
-    (factors,) = prefix_factors(x, [len(x)])
-    (values,) = correlation_values(factors)
-    return values if isinstance(values, str) else values[::-1]
+    (chunk,) = prefix_factors(x, [len(x)])
+    values, (reason,) = correlation_values(chunk)
+    return reason or values[0, ::-1]
 
 
 class TestCorrelationEigenvalues:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mdlrank import cli, complexity, linalg
+from mdlrank import cli, complexity, kaiser, linalg
 from mdlrank.cli import main
 from mdlrank.complexity import ScoreTable
 from mdlrank.datasets import bundled_fixture_path
@@ -437,20 +437,31 @@ class TestExtremeScales:
         assert 1 <= report["k_lower_opt"] <= 5
         jsonschema.validate(report, _schema())
 
-    def test_raw_column_of_one_value_skips_kaiser(self, tmp_path, capsys):
-        # 0.1 has no exact binary form: the computed standard deviation of
-        # this column is rounding noise, yet the column is constant
+    def test_raw_column_of_one_value_skips_kaiser(self, tmp_path, capsys, monkeypatch):
+        """0.1 has no exact binary form: the computed standard deviation of
+        this column is rounding noise, yet the column is constant. In
+        ``compare`` it is constant in every prefix of the one chunk, which
+        then has a 0 x m stack of correlation values and no Kaiser count."""
         x = np.random.default_rng(0).standard_normal((500, 8))
         x[:, 5] = 0.1
         p = tmp_path / "flat.csv"
         p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in x) + "\n")
-        status, out, err = _run(
-            ["select", "--input", str(p), "--raw", "--no-header", "--reproducible"], capsys
-        )
-        assert status == 0 and err == ""
-        report = json.loads(out)
-        assert report["baselines"]["kaiser"] is None
-        assert "column 6 is constant" in report["baselines"]["skipped"]["kaiser"]
+        results, real = [], complexity.correlation_values
+        monkeypatch.setattr(complexity, "correlation_values", lambda chunk: results.append(real(chunk)) or results[-1])
+        flags = ["--input", str(p), "--raw", "--no-header", "--reproducible"]
+        for command in (["select"], ["compare", "--lengths", "8,9,36,37,200,500"]):
+            results.clear()
+            status, out, err = _run(command + flags, capsys)
+            assert status == 0 and err == ""
+            reports = json.loads(out)
+            reports = reports if isinstance(reports, list) else [reports]
+            ((values, reasons),) = results
+            assert values.shape == (0, 8) and kaiser(values) == []
+            assert len(reasons) == len(reports)
+            for report, reason in zip(reports, reasons, strict=True):
+                assert report["baselines"]["kaiser"] is None
+                assert report["baselines"]["skipped"]["kaiser"] == reason
+                assert "column 6 is constant" in reason
 
 
 KNEE_TOO_SHORT = "knee detection needs at least 3 scree points, got 2"

@@ -18,6 +18,7 @@ from mdlrank.baselines import kaiser
 from mdlrank.complexity import analyse, default_epsilon
 from mdlrank.linalg import (
     BLOCK_FACTOR,
+    GRADED_SPREAD,
     GRAM_TAU,
     UNIT_ROUNDOFF,
     correlation_values,
@@ -121,19 +122,25 @@ class TestSingularSpectrum:
 
     def test_falls_back_to_jacobi_when_lapack_fails(self, monkeypatch):
         """When the SVD and the eigensolve both fail, the singular spectrum
-        is one-sided Jacobi's, and the correlation eigenvalues are the
-        singular values Jacobi finds of the positive semidefinite B^T B."""
-        x = np.random.default_rng(13).standard_normal((8, 3))
-        x[:, 1] *= 2.0**40
-        ((factor,),) = prefix_factors(x, [8])
-        top = factor.exponent.max()
-        scaled = np.ldexp(factor.r[:-1, :-1], factor.exponent - top)
+        is one-sided Jacobi's of the C-ordered sorted R, and the correlation
+        eigenvalues are the singular values Jacobi finds of the positive
+        semidefinite B^T B. At 20 x 5 Jacobi's bits differ between the C-
+        and F-ordered copies of the sorted R, so the layout is pinned. The
+        column norms spread by less than GRADED_SPREAD, so only the failure
+        sends the spectrum to Jacobi."""
+        x = np.random.default_rng(13).standard_normal((20, 5))
+        x[:, 1] *= 2.0**5
+        (chunk,) = prefix_factors(x, [20])
+        r, exponent = chunk.lower[0].T, chunk.exponents[0]
+        top = exponent.max()
+        scaled = np.ldexp(r[:-1, :-1], exponent - top)
         # factor_spectrum sorts R's columns by decreasing norm before the SVD
         order = np.argsort(-np.linalg.norm(scaled, axis=0), kind="stable")
         assert order.tolist() != sorted(order.tolist())
-        spectrum = jacobi_svd(scaled[:, order]).singular_values
-        u = factor.r[:, -1:] / np.linalg.norm(factor.r[:, -1])
-        centred = factor.r[:, :-1] - u @ (u.T @ factor.r[:, :-1])
+        spectrum = jacobi_svd(np.ascontiguousarray(scaled[:, order])).singular_values
+        assert jacobi_svd(np.asfortranarray(scaled[:, order])).singular_values.tobytes() != spectrum.tobytes()
+        u = r[:, -1:] / np.linalg.norm(r[:, -1])
+        centred = r[:, :-1] - u @ (u.T @ r[:, :-1])
         b = centred / np.linalg.norm(centred, axis=0)
         correlation = jacobi_svd(b.T @ b).singular_values
 
@@ -143,8 +150,26 @@ class TestSingularSpectrum:
         monkeypatch.setattr(np.linalg, "svd", failing)
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         np.testing.assert_array_equal(singular_spectrum(x).singular_values, np.ldexp(spectrum, top))
-        (values,) = correlation_values([factor])
-        np.testing.assert_array_equal(values, correlation)
+        values, reasons = correlation_values(chunk)
+        assert reasons == [None]
+        np.testing.assert_array_equal(values, [correlation])
+
+    def test_a_graded_prefix_takes_jacobi(self):
+        """In one chunk, the prefix whose R column norms spread beyond
+        GRADED_SPREAD takes Jacobi's values of its C-ordered sorted R, and
+        the one within it LAPACK's, each bit for bit."""
+        x = np.random.default_rng(23).standard_normal((40, 4))
+        x[20:, 2] *= 2.0**30
+        (chunk,) = prefix_factors(x, [20, 40])
+        got = factor_spectrum(chunk).singular_values
+        for p, graded in enumerate([False, True]):
+            exponent = chunk.exponents[p]
+            scaled = np.ldexp(chunk.lower[p].T[:-1, :-1], exponent - exponent.max())
+            norms = np.linalg.norm(scaled, axis=0)
+            assert (norms.max() > GRADED_SPREAD * norms.min()) == graded
+            ordered = np.ascontiguousarray(scaled[:, np.argsort(-norms, kind="stable")])
+            want = jacobi_svd(ordered).singular_values if graded else np.linalg.svd(ordered, compute_uv=False)
+            assert got[p].tobytes() == np.ldexp(want, exponent.max()).tobytes()
 
 
 class TestPrefixFactors:
@@ -153,19 +178,19 @@ class TestPrefixFactors:
 
     def test_is_the_r_factor_of_the_scaled_rows(self):
         x = np.random.default_rng(14).standard_normal((70, self.M)) * [1.0, 1e-9, 1e9, 3.0, 0.5]
-        (factors,) = prefix_factors(x, [70, 5, 24, 25, 6])
-        for factor in factors:
-            assert factor.r.shape == (self.M + 1, self.M + 1)
-            assert np.array_equal(factor.r, np.triu(factor.r))
-            ones = np.column_stack([np.ldexp(x[: factor.n], -factor.exponent), np.ones(factor.n)])
-            np.testing.assert_allclose(
-                factor.r.T @ factor.r, ones.T @ ones, rtol=0, atol=1e-12 * factor.n
-            )
+        (chunk,) = prefix_factors(x, [70, 5, 24, 25, 6])
+        assert chunk.lower.shape == (5, self.M + 1, self.M + 1) and chunk.lower.flags.c_contiguous
+        assert chunk.exponents.shape == chunk.constants.shape == (5, self.M)
+        for n, lower, exponent in zip(chunk.n, chunk.lower, chunk.exponents, strict=True):
+            r = lower.T
+            assert np.array_equal(r, np.triu(r))
+            ones = np.column_stack([np.ldexp(x[:n], -exponent), np.ones(n)])
+            np.testing.assert_allclose(r.T @ r, ones.T @ ones, rtol=0, atol=1e-12 * n)
 
     def test_yields_sorted_distinct_lengths(self):
         x = np.random.default_rng(15).standard_normal((60, self.M))
-        (factors,) = prefix_factors(x, [60, 7, 24, 7, 5])
-        assert [f.n for f in factors] == [5, 7, 24, 60]
+        (chunk,) = prefix_factors(x, [60, 7, 24, 7, 5])
+        assert chunk.n == [5, 7, 24, 60]
 
     def test_each_prefix_equals_its_own_pass(self):
         """A prefix's spectra come out bit for bit as when its rows are
@@ -176,15 +201,16 @@ class TestPrefixFactors:
         x[:60] *= 2.0**-1000
         x[60:] *= 2.0**1000
         lengths = [5, 6, self.STEP - 1, self.STEP, self.STEP + 1, 2 * self.STEP + 1, 59, 100]
-        (factors,) = prefix_factors(x, lengths)
-        spectra, correlations = factor_spectrum(factors), correlation_values(factors)
-        for p, factor in enumerate(factors):
-            (own,) = prefix_factors(x[: factor.n], [factor.n])
+        (chunk,) = prefix_factors(x, lengths)
+        spectra, (values, reasons) = factor_spectrum(chunk), correlation_values(chunk)
+        assert reasons == [None] * len(lengths)
+        for p, n in enumerate(chunk.n):
+            (own,) = prefix_factors(x[:n], [n])
             own_spectrum = factor_spectrum(own)
-            assert spectra.n[p] == own_spectrum.n[0] == factor.n
+            assert spectra.n[p] == own_spectrum.n[0] == n
             assert np.array_equal(spectra.singular_values[p], own_spectrum.singular_values[0])
-            assert np.array_equal(correlations[p], correlation_values(own)[0])
-            assert np.array_equal(factor.constant, own[0].constant)
+            assert np.array_equal(values[p], correlation_values(own)[0][0])
+            assert np.array_equal(chunk.constants[p], own.constants[0])
 
     @PROPERTY
     @given(
@@ -199,9 +225,9 @@ class TestPrefixFactors:
         block grid, a length of m, and rows past a prefix's last whole block
         that raise a column's binary exponent, the row at an end or the one
         after it. Column 0 may be constant over a head, so that chunks mix
-        both routes. Every Factor, spectrum and correlation is bit for bit
-        that of the prefix's own single-length pass, also when the chunk's
-        factors are handed over as a plain list."""
+        both routes. Every stacked field, spectrum and correlation result is
+        bit for bit that of the prefix's own single-length pass; a chunk
+        none of whose prefixes is usable has a 0 x m stack of values."""
         step = BLOCK_FACTOR * (m + 1)
         blocks = data.draw(st.integers(1, 4), label="blocks")
         n = blocks * step + data.draw(st.integers(0, step - 1), label="extra rows")
@@ -220,32 +246,33 @@ class TestPrefixFactors:
         chunk_bytes = per_chunk * 8 * (m + 1) ** 2
         with mock.patch.object(linalg, "STACK_BYTES", chunk_bytes):
             chunks = list(prefix_factors(x, lengths))
-        assert [len(c) for c in chunks] == [len(lengths[i : i + per_chunk]) for i in range(0, len(lengths), per_chunk)]
+        assert [c.n for c in chunks] == [lengths[i : i + per_chunk] for i in range(0, len(lengths), per_chunk)]
 
         def bits(a):
             return a.dtype, a.shape, a.tobytes()
 
         for chunk in chunks:
-            spectra, correlations = factor_spectrum(chunk), correlation_values(chunk)
-            listed = factor_spectrum(list(chunk)), correlation_values(list(chunk))
-            assert bits(listed[0].singular_values) == bits(spectra.singular_values)
-            for p, factor in enumerate(chunk):
-                ((own,),) = prefix_factors(x[: factor.n], [factor.n])
-                assert factor.n == own.n
-                for field in ("r", "exponent", "constant"):
-                    assert bits(getattr(factor, field)) == bits(getattr(own, field)), (factor.n, field)
-                assert spectra.n[p] == factor.n
-                assert bits(spectra.singular_values[p]) == bits(factor_spectrum([own]).singular_values[0])
-                (alone,) = correlation_values([own])
-                for got in (correlations[p], listed[1][p]):
-                    assert type(got) is type(alone)
-                    assert got == alone if isinstance(alone, str) else bits(got) == bits(alone)
+            spectra, (values, reasons) = factor_spectrum(chunk), correlation_values(chunk)
+            assert type(values) is np.ndarray and type(reasons) is list
+            assert values.shape == (reasons.count(None), m) and len(reasons) == len(chunk.n)
+            assert len(kaiser(values)) == len(values)
+            usable = iter(values)
+            for p, n in enumerate(chunk.n):
+                (own,) = prefix_factors(x[:n], [n])
+                assert own.n == [n]
+                for field in ("lower", "exponents", "constants"):
+                    assert bits(getattr(chunk, field)[p]) == bits(getattr(own, field)[0]), (n, field)
+                assert spectra.n[p] == n
+                assert bits(spectra.singular_values[p]) == bits(factor_spectrum(own).singular_values[0])
+                alone, (why,) = correlation_values(own)
+                assert type(alone) is type(values) and reasons[p] == why
+                assert bits(values[:0] if why else next(usable)[None]) == bits(alone)
 
     def test_constant_columns_per_prefix(self):
         x = np.random.default_rng(17).standard_normal((60, self.M))
         x[:30, 2] = 0.7  # constant over the first 30 rows only
-        (factors,) = prefix_factors(x, [10, 30, 31, 60])
-        flags = {f.n: f.constant.tolist() for f in factors}
+        (chunk,) = prefix_factors(x, [10, 30, 31, 60])
+        flags = dict(zip(chunk.n, chunk.constants.tolist()))
         assert flags[10] == flags[30] == [False, False, True, False, False]
         assert flags[31] == flags[60] == [False] * self.M
 
@@ -297,9 +324,10 @@ class TestCorrelationValues:
                        rng.standard_normal((extra_rows, m)) * 3.0])
         lengths = data.draw(st.lists(st.integers(m + 1, len(x)), min_size=1, max_size=6)) + [head]
         for chunk in prefix_factors(x, lengths):
-            counts = kaiser(correlation_values(chunk))
-            for factor, count in zip(chunk, counts, strict=True):
-                assert count in kaiser_counts(x[: factor.n]), factor.n
+            values, reasons = correlation_values(chunk)
+            assert reasons == [None] * len(chunk.n)
+            for n, count in zip(chunk.n, kaiser(values), strict=True):
+                assert count in kaiser_counts(x[:n]), n
         planted = np.linalg.eigvalsh(np.corrcoef(x[:head], rowvar=False))
         assert np.count_nonzero(np.abs(planted - 1.0) <= 1e-12) >= 2
 
@@ -311,7 +339,7 @@ class TestGramRoute:
 
     @staticmethod
     def _gated(x, lengths=None):
-        """The factors of the prefixes of *x* whose lengths are in *lengths*
+        """The chunk of the prefixes of *x* whose lengths are in *lengths*
         (all of *x* by default), which must make one chunk, and whether the
         Gram route made each."""
         ran, real = [], linalg._gram_factor
@@ -323,9 +351,9 @@ class TestGramRoute:
             return factors
 
         with mock.patch.object(linalg, "_gram_factor", recording):
-            (factors,) = prefix_factors(x, lengths or [len(x)])
-        assert len(ran) == len(factors)
-        return factors, ran
+            (chunk,) = prefix_factors(x, lengths or [len(x)])
+        assert len(ran) == len(chunk.n)
+        return chunk, ran
 
     @staticmethod
     def _refused(grams):
@@ -333,10 +361,10 @@ class TestGramRoute:
         return [None] * len(grams)
 
     def _folded(self, x):
-        """The fold route's factor of all of *x*."""
+        """The fold route's one-prefix chunk of all of *x*."""
         with mock.patch.object(linalg, "_gram_factor", self._refused):
-            ((factor,),) = prefix_factors(x, [len(x)])
-        return factor
+            (chunk,) = prefix_factors(x, [len(x)])
+        return chunk
 
     @staticmethod
     def _selection(x, gram_factor):
@@ -377,7 +405,8 @@ class TestGramRoute:
         x[:, mean_column] += mean * np.abs(x[:, mean_column]).max()
         (_, (gram,)), fold = self._gated(x), self._folded(x)
         assert self._selection(x, linalg._gram_factor) == self._selection(x, self._refused)
-        r_eq = fold.r / np.linalg.norm(fold.r, axis=0)
+        r = fold.lower[0].T
+        r_eq = r / np.linalg.norm(r, axis=0)
         least = np.linalg.eigvalsh(r_eq.T @ r_eq)[0]
         delta = (m + 1) * m * UNIT_ROUNDOFF / GRAM_TAU
         if abs(least - delta) > 1e-3 * delta:
@@ -399,10 +428,10 @@ class TestGramRoute:
         x = np.ldexp(x * rng.uniform(0.1, 10.0, 5), [0, 0, 0, 54, 0])
         with mp.workdps(60):
             exact = sorted((float(v) for v in svd_r(matrix(x.tolist()), compute_uv=False)), reverse=True)
-        (gram,), routes = self._gated(x)
+        gram, routes = self._gated(x)
         assert routes == [True]
-        for factor in (gram, self._folded(x)):
-            values = factor_spectrum([factor]).singular_values[0]
+        for chunk in (gram, self._folded(x)):
+            values = factor_spectrum(chunk).singular_values[0]
             np.testing.assert_allclose(values, exact, rtol=1e-13, atol=0)
         assert self._selection(x, linalg._gram_factor)[:2] == self._selection(x, self._refused)[:2] == (1, 1)
 
@@ -431,9 +460,9 @@ class TestGramRoute:
         with mp.workdps(200):
             exact = sorted((float(v) for v in svd_r(matrix(x.tolist()), compute_uv=False)), reverse=True)
         kappa = np.linalg.cond(x / np.linalg.norm(x, axis=0))
-        (gram,), _ = self._gated(x)
-        for factor, power in ((gram, 2), (self._folded(x), 1)):
-            values = factor_spectrum([factor]).singular_values[0]
+        gram, _ = self._gated(x)
+        for chunk, power in ((gram, 2), (self._folded(x), 1)):
+            values = factor_spectrum(chunk).singular_values[0]
             rtol = 64 * m * UNIT_ROUNDOFF * kappa**power
             np.testing.assert_allclose(values, exact, rtol=rtol, atol=0)
 
@@ -442,9 +471,9 @@ class TestGramRoute:
         x = np.random.default_rng(19).standard_normal((50, 4))
         x[:, 2] = {"constant": 0.1, "zero": 0.0, "collinear": 3.0 * x[:, 0],
                    "near-ones": 1e9 + x[:, 1]}[column]
-        (factor,), routes = self._gated(x)
+        chunk, routes = self._gated(x)
         assert routes == [False]
-        assert np.array_equal(factor.r, self._folded(x).r)
+        assert np.array_equal(chunk.lower, self._folded(x).lower)
 
     def test_entries_whose_squares_underflow(self):
         """A column whose peak is 1 and whose other entries are near
@@ -465,16 +494,15 @@ class TestGramRoute:
         x = np.random.default_rng(21).standard_normal((200, 6))
         x[:50, 3] = 0.3
         lengths = [6, 20, 49, 50, 51, 52, 100, 200]
-        factors, routes = self._gated(x, lengths)
+        chunk, routes = self._gated(x, lengths)
         assert routes == [False] * 4 + [True] * 4
         epsilon = default_epsilon(6)
         analyses = analyse(x, lengths, epsilon)
-        for factor, route, got in zip(factors, routes, analyses, strict=True):
-            n = factor.n
-            (own,), own_routes = self._gated(x[:n].copy())
-            assert own_routes == [route]
-            for mine, theirs in zip(factor, own):
-                assert np.array_equal(mine, theirs)
+        for p, (n, route, got) in enumerate(zip(chunk.n, routes, analyses, strict=True)):
+            own, own_routes = self._gated(x[:n].copy())
+            assert own.n == [n] and own_routes == [route]
+            for field in ("lower", "exponents", "constants"):
+                assert np.array_equal(getattr(chunk, field)[p], getattr(own, field)[0])
             (want,) = analyse(x[:n].copy(), [n], epsilon)
             assert got.spectrum.n == want.spectrum.n == n
             assert np.array_equal(got.spectrum.singular_values, want.spectrum.singular_values)
@@ -487,7 +515,7 @@ class TestGramRoute:
 
     @pytest.mark.parametrize("route", ["gram", "fold"])
     def test_exponents_stay_int32(self, route):
-        """Every exponent that reaches np.ldexp, and every Factor's, is
+        """Every exponent that reaches np.ldexp, and every chunk's, is
         frexp's int32 on either route, at ends on the block grid and past
         it: numpy's int64 ldexp loop is several times slower."""
         m = 5
@@ -502,9 +530,9 @@ class TestGramRoute:
             return real(x1, x2, *args, **kwargs)
 
         with mock.patch.object(linalg, "_gram_factor", gate), mock.patch.object(np, "ldexp", recording):
-            (factors,) = prefix_factors(x, lengths)
-        assert [f.n for f in factors] == lengths
-        assert {f.exponent.dtype for f in factors} == dtypes == {np.dtype(np.intc)}
+            (chunk,) = prefix_factors(x, lengths)
+        assert chunk.n == lengths
+        assert {chunk.exponents.dtype} == dtypes == {np.dtype(np.intc)}
         assert self._gated(x, lengths)[1] == [True] * len(lengths)  # the gate admits x
 
     @pytest.mark.parametrize("seed", range(4))

@@ -4,8 +4,9 @@ the names README lists as the package root's exports are exactly
 option, the version and schema version it states are the ones the code
 reports, every warning the suite fails on is named, and the schema pins
 the schema version, gram modes and per-k columns the code writes. The CLI
-imports nothing from ``linalg``, as the module list in README says, and no
-module imports a name it does not use."""
+imports nothing from ``linalg``, as the module list in README says, no
+module imports a name it does not use, and no module keeps a private
+helper its package does not read."""
 
 import argparse
 import ast
@@ -75,6 +76,37 @@ def test_every_imported_name_is_used(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, sorted(imported - used)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "mdlrank").glob("*.py"))
+)
+def test_every_private_helper_is_used(module):
+    """A module-level name with a leading underscore, dunders aside, is
+    read somewhere in the package's code outside its own definition: a
+    helper that only tests reach is dead code."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "src" / "mdlrank").glob("*.py")]
+    own = ast.parse((ROOT / "src" / "mdlrank" / module).read_text(encoding="utf-8"))
+    private = set()
+    for node in own.body:
+        targets = [node] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else getattr(node, "targets", [])
+        private |= {getattr(t, "name", getattr(t, "id", None)) for t in targets}
+    private = {name for name in private if name and name.startswith("_") and not name.endswith("__")}
+    read = set()
+    for tree in trees:
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != getattr(top, "name", None):
+                    read.add(name)
+    assert not private - read, sorted(private - read)
 
 
 def test_pyproject_version_is_the_package_version():
