@@ -27,9 +27,8 @@ UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # slower over 30 and 40 interleaved in-process ops) and raised its traced
 # peak from 3.2 to 5.1 MB; its peak resident memory stayed at 51.6 MB
 STACK_BYTES = 2**19
-# the spread of a prefix's nonzero R column norms beyond which LAPACK's SVD
-# of its norm-sorted R is not relatively accurate (see factor_spectrum), and
-# one-sided Jacobi gives its singular values
+# the spread of a prefix's nonzero R column norms beyond which one-sided
+# Jacobi, not LAPACK, gives its singular values (see factor_spectrum)
 GRADED_SPREAD = 2**10
 
 
@@ -293,9 +292,14 @@ def _stacked(call, stack, fallback):
 
 
 def _jacobi_values(matrix):
-    # C-ordered whatever its stack's layout: Jacobi's column products can
-    # round otherwise in another layout
-    return jacobi_svd(np.ascontiguousarray(matrix)).singular_values
+    """:func:`jacobi_svd`'s singular values of *matrix*, bit for bit, with
+    no U or V formed: the stacked calls' fallback and a graded R's spectrum
+    (:func:`factor_spectrum`). C-ordered whatever its stack's layout:
+    Jacobi's column products can round otherwise in another layout."""
+    a, exponent = binary_scaled(np.ascontiguousarray(matrix))
+    _jacobi_sweeps(a, None, JACOBI_MAX_SWEEPS)
+    norms = np.linalg.norm(a, axis=0)
+    return np.ldexp(norms[np.argsort(-norms, kind="stable")], exponent.item())
 
 
 def factor_spectrum(chunk) -> Spectrum:
@@ -312,13 +316,11 @@ def factor_spectrum(chunk) -> Spectrum:
     Each R's columns are put in order of decreasing norm before the SVD,
     which leaves its singular values as they are. LAPACK's SVD of a
     column-graded R is accurate only relative to σ1, and of the sorted one
-    to about ``u·κ(R_eq)`` relative, R_eq the R with unit columns, while
-    its column norms spread by at most ``GRADED_SPREAD``: over 4000 graded
-    draws of widths 3 to 6, within ``13·m·u·κ(R_eq)`` (``κ(R_eq)²`` on the
-    Gram route) below a spread of 2**12, and up to 5e6 times that at
-    spreads of 2**12 to 2**34. A prefix whose nonzero column norms spread
-    further takes :func:`jacobi_svd`'s values of its sorted R, as LAPACK's
-    fallback does, relatively accurate under any column scaling. R's
+    to about ``u·κ(R_eq)`` relative, R_eq the R with unit columns, only
+    while its column norms spread by at most ``GRADED_SPREAD`` (README
+    gives the draws that show it). A prefix whose nonzero column norms
+    spread further skips the LAPACK call and takes :func:`_jacobi_values`
+    of its sorted R, relatively accurate under any column scaling. R's
     columns are the rows of the transposed stack, so one take of rows
     sorts them all."""
     exponents = chunk.exponents
@@ -327,13 +329,15 @@ def factor_spectrum(chunk) -> Spectrum:
     columns = np.ldexp(chunk.lower[:, :-1, :-1], (exponents - tops[:, None])[:, :, None])
     p, m = exponents.shape
     norms = np.linalg.norm(columns, axis=2)
-    order = np.argsort(-norms, axis=1, kind="stable")
-    rows = columns.reshape(p * m, m)[order + m * np.arange(p)[:, None]]
-    values = np.asarray(_stacked(lambda a: np.linalg.svd(a, compute_uv=False), rows.transpose(0, 2, 1),
-                                 _jacobi_values))
     graded = norms.max(axis=1) > GRADED_SPREAD * norms.min(axis=1, where=norms > 0.0, initial=np.inf)
+    rows = columns.reshape(p * m, m)
+    # each prefix's row indices into rows, in order of decreasing norm
+    take = np.argsort(-norms, axis=1, kind="stable") + m * np.arange(p)[:, None]
+    values = np.empty((p, m))
+    values[~graded] = _stacked(lambda a: np.linalg.svd(a, compute_uv=False), rows[take[~graded]].transpose(0, 2, 1),
+                               _jacobi_values)
     for i in np.flatnonzero(graded).tolist():
-        values[i] = _jacobi_values(rows[i].T)
+        values[i] = _jacobi_values(rows[take[i]].T)
     if (np.frexp(values[:, 0])[1] + tops > 1024).any():
         raise DomainError(
             "the largest singular value is beyond the float64 range (about 1.8e308); "
@@ -362,7 +366,6 @@ def correlation_values(chunk) -> tuple:
     spectrum needs is not needed here. ``B^T B`` is symmetric positive
     semidefinite, so where the eigensolve fails (:func:`_stacked`) its
     singular values from :func:`jacobi_svd` are its eigenvalues."""
-    constant = chunk.constants
     r = chunk.lower.transpose(0, 2, 1)
     ones, columns = r[:, :, -1:], r[:, :, :-1]
     u = ones / np.sqrt(ones.transpose(0, 2, 1) @ ones)
@@ -374,7 +377,7 @@ def correlation_values(chunk) -> tuple:
     norms = np.sqrt(np.einsum("pij,pij->pj", centred, centred))[:, None, :]
     np.divide(centred, norms, out=centred, where=norms > 0.0)
     cancelled = norms[:, 0] == 0.0
-    usable = ~(constant | cancelled).any(axis=1)
+    usable = ~(chunk.constants | cancelled).any(axis=1)
     stack = centred.transpose(0, 2, 1) @ centred
     del centred
     stack = stack[usable]
@@ -384,7 +387,7 @@ def correlation_values(chunk) -> tuple:
         None if ok
         else f"column {c.argmax() + 1} is constant and cannot be standardized" if c.any()
         else f"column {z.argmax() + 1} is zero once centred and cannot be standardized"
-        for ok, c, z in zip(usable.tolist(), constant, cancelled)
+        for ok, c, z in zip(usable.tolist(), chunk.constants, cancelled)
     ]
     return values, reasons
 
@@ -422,10 +425,9 @@ def svd(x) -> SvdResult:
 
 
 def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
-    """One-sided Jacobi SVD, the cross-check for :func:`svd`, the
+    """One-sided Jacobi SVD, the cross-check for :func:`svd` and the
     fallback of its LAPACK call and of the stacked spectra and correlation
-    eigensolves (:func:`_stacked`), and the spectrum of a graded R
-    (:func:`factor_spectrum`).
+    eigensolves (:func:`_stacked`).
 
     Rotates the column pairs of a copy of *x*, scaled by the power of two
     of :func:`binary_scaled`, until every pair is orthogonal to working
@@ -444,6 +446,23 @@ def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
     _require_tall(a, "jacobi_svd")
     n, m = a.shape
     v = np.eye(m)
+    _jacobi_sweeps(a, v, max_sweeps)
+    norms = np.linalg.norm(a, axis=0)
+    order = np.argsort(-norms, kind="stable")
+    rank = np.count_nonzero(norms)
+    u = a[:, order[:rank]] / norms[order[:rank]]
+    if rank < m:
+        # a Householder Q is orthogonal whatever the rank of the padding
+        completed = np.linalg.qr(np.hstack([u, np.eye(n, m - rank)]))[0]
+        u = np.hstack([u, completed[:, rank:]])
+    return SvdResult(u=u, singular_values=np.ldexp(norms[order], exponent.item()), v=v[:, order])
+
+
+def _jacobi_sweeps(a, v, max_sweeps):
+    """Rotate the column pairs of *a* in place, and the same pairs of *v*
+    unless it is None, until every pair is orthogonal to working accuracy
+    (:func:`jacobi_svd`)."""
+    m = a.shape[1]
     for _ in range(max_sweeps):
         rotated = False
         for p in range(m - 1):
@@ -461,22 +480,11 @@ def jacobi_svd(x, max_sweeps: int = JACOBI_MAX_SWEEPS) -> SvdResult:
                 s = t * c
                 rot = np.array([[c, s], [-s, c]])
                 a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
+                if v is not None:
+                    v[:, [p, q]] = v[:, [p, q]] @ rot
         if not rotated:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps"
-        )
-    norms = np.linalg.norm(a, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    rank = np.count_nonzero(norms)
-    u = a[:, order[:rank]] / norms[order[:rank]]
-    if rank < m:
-        # a Householder Q is orthogonal whatever the rank of the padding
-        completed = np.linalg.qr(np.hstack([u, np.eye(n, m - rank)]))[0]
-        u = np.hstack([u, completed[:, rank:]])
-    return SvdResult(u=u, singular_values=np.ldexp(norms[order], exponent.item()), v=v[:, order])
+            return
+    raise ConvergenceError(f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps")
 
 
 def truncate(s: SvdResult, k: int) -> np.ndarray:

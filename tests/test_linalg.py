@@ -154,14 +154,24 @@ class TestSingularSpectrum:
         assert reasons == [None]
         np.testing.assert_array_equal(values, [correlation])
 
-    def test_a_graded_prefix_takes_jacobi(self):
+    def test_a_graded_prefix_takes_jacobi(self, monkeypatch):
         """In one chunk, the prefix whose R column norms spread beyond
         GRADED_SPREAD takes Jacobi's values of its C-ordered sorted R, and
-        the one within it LAPACK's, each bit for bit."""
+        the one within it LAPACK's, each bit for bit; the LAPACK call is
+        given the other prefix alone."""
         x = np.random.default_rng(23).standard_normal((40, 4))
         x[20:, 2] *= 2.0**30
         (chunk,) = prefix_factors(x, [20, 40])
+        stacks, real = [], np.linalg.svd
+
+        def recording(a, **kwargs):
+            stacks.append(a.shape)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
         got = factor_spectrum(chunk).singular_values
+        monkeypatch.undo()
+        assert stacks == [(1, 4, 4)]
         for p, graded in enumerate([False, True]):
             exponent = chunk.exponents[p]
             scaled = np.ldexp(chunk.lower[p].T[:-1, :-1], exponent - exponent.max())
